@@ -7,7 +7,7 @@ import (
 
 // Adversary constructors. Each returns a protocol.Node scripting one of
 // the attack strategies the paper's proofs defend against; attach them
-// with Simulation.WithFaulty. Faulty nodes cannot forge sender identities
+// with WithFaultyNode. Faulty nodes cannot forge sender identities
 // (the transport authenticates senders, matching the paper's model).
 
 // Crashed returns a forever-silent node — the crash fault, weakest point

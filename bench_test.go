@@ -72,34 +72,26 @@ func BenchmarkS3Service(b *testing.B) { benchExperiment(b, "S3") }
 // BenchmarkSingleAgreement measures the simulator's cost of one complete
 // fault-free agreement (7 nodes, ~350 messages) — the unit of work every
 // experiment above multiplies.
-func BenchmarkSingleAgreement(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.ScheduleAgreement(0, "bench", 2*s.Params().D)
-		report, err := s.Run(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !report.Unanimous(0, "bench") {
-			b.Fatal("agreement failed")
-		}
-	}
-}
+func BenchmarkSingleAgreement(b *testing.B) { benchSingleAgreement(b, 7) }
 
 // BenchmarkSingleAgreementN25 is the same unit at n=25 (f=8).
-func BenchmarkSingleAgreementN25(b *testing.B) {
+func BenchmarkSingleAgreementN25(b *testing.B) { benchSingleAgreement(b, 25) }
+
+func benchSingleAgreement(b *testing.B, n int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := ssbyz.NewSimulation(ssbyz.Config{N: 25, Seed: int64(i)})
+		eng, err := ssbyz.New(ssbyz.WithN(n), ssbyz.WithSeed(int64(i)))
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.ScheduleAgreement(0, "bench", 2*s.Params().D)
-		report, err := s.Run(0)
+		s, err := eng.OpenSession(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.ProposeAt("bench", 2*eng.Params().D); err != nil {
+			b.Fatal(err)
+		}
+		report, err := eng.Run(0)
 		if err != nil {
 			b.Fatal(err)
 		}

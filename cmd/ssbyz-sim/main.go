@@ -47,45 +47,59 @@ type simConfig struct {
 
 // runScenario assembles, runs, and reports one scenario.
 func runScenario(cfg simConfig, w io.Writer) error {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: cfg.n, Seed: cfg.seed})
-	if err != nil {
-		return err
-	}
-	pp := s.Params()
-	d := pp.D
+	// d is fixed up front so the adversaries' scripted instants can be
+	// expressed in it before the engine exists.
+	const d = ssbyz.Ticks(1000)
+	opts := []ssbyz.Option{ssbyz.WithN(cfg.n), ssbyz.WithSeed(cfg.seed), ssbyz.WithD(d)}
 	t0 := 2 * d
 	general := ssbyz.NodeID(0)
 	want := ssbyz.Value("")
-	runFor := ssbyz.Ticks(0)
 
 	switch cfg.scenario {
 	case "correct":
 		want = "v"
-		s.ScheduleAgreement(general, want, t0)
 	case "equivocate":
-		s.WithFaulty(0, ssbyz.EquivocatingGeneral(t0, "a", "b"))
-		s.WithFaulty(ssbyz.NodeID(cfg.n-1), ssbyz.Colluder())
-		runFor = 5 * pp.DeltaAgr()
+		opts = append(opts,
+			ssbyz.WithFaultyNode(0, ssbyz.EquivocatingGeneral(t0, "a", "b")),
+			ssbyz.WithFaultyNode(ssbyz.NodeID(cfg.n-1), ssbyz.Colluder()))
 	case "partial":
 		invitees := []ssbyz.NodeID{1, 2, 3}
-		s.WithFaulty(0, ssbyz.PartialGeneral(t0, "p", invitees...))
-		runFor = 5 * pp.DeltaAgr()
+		opts = append(opts, ssbyz.WithFaultyNode(0, ssbyz.PartialGeneral(t0, "p", invitees...)))
 	case "transient":
 		want = "recovered"
-		t0 = pp.DeltaStb() + 2*d
-		s.WithTransientFault(cfg.seed+1000, 1.0)
-		s.ScheduleAgreement(general, want, t0)
-		runFor = t0 + 3*pp.DeltaAgr()
+		opts = append(opts, ssbyz.WithTransientFault(cfg.seed+1000, 1.0))
 	case "spam":
 		want = "v"
-		s.WithFaulty(ssbyz.NodeID(cfg.n-1), ssbyz.Spammer())
-		s.WithFaulty(ssbyz.NodeID(cfg.n-2), ssbyz.Spammer())
-		s.ScheduleAgreement(general, want, t0)
+		opts = append(opts,
+			ssbyz.WithFaultyNode(ssbyz.NodeID(cfg.n-1), ssbyz.Spammer()),
+			ssbyz.WithFaultyNode(ssbyz.NodeID(cfg.n-2), ssbyz.Spammer()))
 	default:
 		return fmt.Errorf("unknown scenario %q", cfg.scenario)
 	}
+	eng, err := ssbyz.New(opts...)
+	if err != nil {
+		return err
+	}
+	pp := eng.Params()
+	runFor := ssbyz.Ticks(0)
+	switch cfg.scenario {
+	case "equivocate", "partial":
+		runFor = 5 * pp.DeltaAgr()
+	case "transient":
+		t0 = pp.DeltaStb() + 2*d
+		runFor = t0 + 3*pp.DeltaAgr()
+	}
+	if want != "" {
+		s, err := eng.OpenSession(general)
+		if err != nil {
+			return err
+		}
+		if err := s.ProposeAt(want, t0); err != nil {
+			return err
+		}
+	}
 
-	report, err := s.Run(runFor)
+	report, err := eng.Run(runFor)
 	if err != nil {
 		return err
 	}

@@ -16,16 +16,23 @@ import (
 
 // Recipe 1: composite attack — equivocating General who also colludes.
 func TestCookbookCompositeAttack(t *testing.T) {
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 1})
+	const d = ssbyz.Ticks(1000)
+	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(1), ssbyz.WithD(d),
+		ssbyz.WithFaultyNode(5, ssbyz.ComposeAdversaries(
+			ssbyz.EquivocatingGeneral(3*d, "left", "right"),
+			ssbyz.LateColluder(0, 2*d),
+		)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := sim.Params().D
-	sim.WithFaulty(5, ssbyz.ComposeAdversaries(
-		ssbyz.EquivocatingGeneral(3*d, "left", "right"),
-		ssbyz.LateColluder(0, 2*d),
-	)).ScheduleAgreement(0, "launch", 2*d)
-	report, err := sim.Run(0)
+	s, err := eng.OpenSession(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ProposeAt("launch", 2*d); err != nil {
+		t.Fatal(err)
+	}
+	report, err := eng.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}

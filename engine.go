@@ -1,17 +1,21 @@
 package ssbyz
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"ssbyz/internal/check"
+	"ssbyz/internal/core"
 	"ssbyz/internal/indexed"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
+	"ssbyz/internal/pulse"
 	"ssbyz/internal/service"
 	"ssbyz/internal/sim"
 	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
+	"ssbyz/internal/transient"
 )
 
 // Engine is the single entry point to the agreement service: n nodes
@@ -118,6 +122,35 @@ func WithFaultyNode(id NodeID, adv Adversary) Option {
 	return func(e *Engine) error { e.faulty[id] = adv; return nil }
 }
 
+// WithPulseSynchronization turns every correct node into a pulse node:
+// the cluster fires recurring synchronized pulses (the paper's companion
+// [6] layer built atop ss-Byz-Agree), each cycle inheriting the
+// agreement's 3d decision skew (Timeliness-1a). cycle is the local-time
+// spacing between pulses; values below the legal minimum are raised to
+// it. Retrieve fired pulses with Report.Pulses.
+func WithPulseSynchronization(cycle Ticks) Option {
+	return func(e *Engine) error {
+		e.newNode = func() protocol.Node {
+			return pulse.NewNode(pulse.Config{Cycle: cycle})
+		}
+		return nil
+	}
+}
+
+// WithTransientFault corrupts every node's state to an arbitrary
+// (seed-determined) configuration at the moment the run begins — the
+// paper's post-transient scenario, from which ss-Byz-Agree
+// self-stabilizes within Δstb. Severity in (0,1] scales how much of the
+// state is corrupted; 1 corrupts everything. Simulator runtime only.
+func WithTransientFault(seed int64, severity float64) Option {
+	return func(e *Engine) error {
+		e.corrupt = func(w *simnet.World) {
+			transient.Corrupt(w, transient.Config{Seed: seed, Severity: severity})
+		}
+		return nil
+	}
+}
+
 // WithRuntime selects where the engine runs: SimRuntime (default) or
 // SocketRuntime. Either way the same protocol state machines execute
 // under the paper's bounded-delay axiom (messages arrive within d).
@@ -183,6 +216,21 @@ func New(opts ...Option) (*Engine, error) {
 	if len(e.faulty) > e.pp.F {
 		return nil, fmt.Errorf("%w: %d faulty nodes exceeds f=%d", ErrBadParams, len(e.faulty), e.pp.F)
 	}
+	for id := range e.faulty {
+		if id < 0 || int(id) >= e.pp.N {
+			return nil, fmt.Errorf("%w: faulty node %d out of range [0,%d)", ErrBadParams, id, e.pp.N)
+		}
+	}
+	if e.rt.kind == 1 {
+		switch e.rt.transport {
+		case "", nettrans.TransportUDP, nettrans.TransportTCP:
+		default:
+			return nil, fmt.Errorf("%w: unknown transport %q", ErrBadParams, e.rt.transport)
+		}
+		if e.corrupt != nil {
+			return nil, fmt.Errorf("%w: WithTransientFault needs the simulator runtime", ErrBadParams)
+		}
+	}
 	return e, nil
 }
 
@@ -241,9 +289,9 @@ func (e *Engine) usableGeneral(g NodeID) error {
 	return nil
 }
 
-// nodeFactory resolves the correct-node state machine: an explicit
-// override (pulse layer, legacy concurrent slots), else indexed nodes
-// when sessions are multiplexed, else the plain core node of Fig. 1.
+// nodeFactory resolves the correct-node state machine: the pulse layer
+// if requested, else indexed nodes when sessions are multiplexed, else
+// the plain core node of Fig. 1.
 func (e *Engine) nodeFactory() func() protocol.Node {
 	if e.newNode != nil {
 		return e.newNode
@@ -428,9 +476,51 @@ func (e *Engine) Await(g NodeID, timeout time.Duration) (Value, error) {
 	if tick == 0 {
 		tick = 100 * time.Microsecond
 	}
-	return awaitUnanimous(e.pp.N, timeout, tick*10, func(i int, fn func(protocol.Node)) {
-		e.cluster.DoWait(NodeID(i), fn)
-	}, g)
+	return e.awaitUnanimous(g, timeout, tick*10)
+}
+
+// awaitUnanimous polls every node's return for General g through its
+// event loop until all have returned (the Agreement property then
+// requires one value) or the deadline passes.
+func (e *Engine) awaitUnanimous(g NodeID, timeout, pollEvery time.Duration) (Value, error) {
+	n := e.pp.N
+	deadline := time.Now().Add(timeout)
+	for {
+		values := make(map[Value]int)
+		returned := 0
+		for i := 0; i < n; i++ {
+			var ret, dec bool
+			var v Value
+			e.cluster.DoWait(NodeID(i), func(nd protocol.Node) {
+				ret, dec, v = nd.(*core.Node).Result(g)
+			})
+			if ret {
+				returned++
+				if dec {
+					values[v]++
+				}
+			}
+		}
+		if returned == n {
+			switch len(values) {
+			case 0:
+				return Bottom, errors.New("ssbyz: all nodes aborted")
+			case 1:
+				for v := range values {
+					if values[v] == n {
+						return v, nil
+					}
+					return v, fmt.Errorf("ssbyz: %d/%d nodes decided %q, rest aborted", values[v], n, v)
+				}
+			default:
+				return Bottom, fmt.Errorf("ssbyz: value split across nodes: %v", values)
+			}
+		}
+		if time.Now().After(deadline) {
+			return Bottom, fmt.Errorf("ssbyz: timeout with %d/%d nodes returned", returned, n)
+		}
+		time.Sleep(pollEvery)
+	}
 }
 
 // CheckLive runs the full property battery (Agreement, Timeliness, IA
@@ -504,7 +594,7 @@ func (s *Session) Propose(v Value) error {
 // namespace stripped.
 func (s *Session) Decisions(r *Report) []Decision {
 	if s.eng.sessions > 1 {
-		return r.SlotDecisions(s.g, s.slot)
+		return r.slotDecisions(s.g, s.slot)
 	}
 	var out []Decision
 	for _, d := range r.Decisions(s.g) {

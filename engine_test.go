@@ -1,8 +1,7 @@
 package ssbyz_test
 
-// Tests for the Engine facade: the unified service API, its sentinel
-// errors, and the compatibility of the deprecated Simulation shim with
-// the engine it now wraps.
+// Tests for the Engine facade: the unified service API and its sentinel
+// errors.
 
 import (
 	"errors"
@@ -19,8 +18,29 @@ func TestEngineSentinelErrors(t *testing.T) {
 	if _, err := ssbyz.New(ssbyz.WithSessions(0)); !errors.Is(err, ssbyz.ErrBadParams) {
 		t.Errorf("WithSessions(0) error = %v, want ErrBadParams", err)
 	}
-	if _, err := ssbyz.NewSimulation(ssbyz.Config{N: 6, F: 2}); !errors.Is(err, ssbyz.ErrBadParams) {
-		t.Errorf("NewSimulation(n=6,f=2) error = %v, want ErrBadParams", err)
+	if _, err := ssbyz.New(ssbyz.WithN(6), ssbyz.WithF(2)); !errors.Is(err, ssbyz.ErrBadParams) {
+		t.Errorf("New(n=6,f=2) error = %v, want ErrBadParams", err)
+	}
+	// Faulty ids outside [0, n) name no node; they must not silently
+	// consume the fault budget.
+	if _, err := ssbyz.New(ssbyz.WithN(4), ssbyz.WithFaultyNode(9, ssbyz.Crashed())); !errors.Is(err, ssbyz.ErrBadParams) {
+		t.Errorf("WithFaultyNode(9) at n=4 error = %v, want ErrBadParams", err)
+	}
+	if _, err := ssbyz.New(ssbyz.WithN(4), ssbyz.WithFaultyNode(-1, nil)); !errors.Is(err, ssbyz.ErrBadParams) {
+		t.Errorf("WithFaultyNode(-1) error = %v, want ErrBadParams", err)
+	}
+	// The socket runtime's transport name is checked at construction.
+	if _, err := ssbyz.New(ssbyz.WithRuntime(ssbyz.SocketRuntime("carrier-pigeon", 0))); !errors.Is(err, ssbyz.ErrBadParams) {
+		t.Errorf("SocketRuntime(carrier-pigeon) error = %v, want ErrBadParams", err)
+	}
+	for _, tr := range []string{"", "udp", "tcp"} {
+		if _, err := ssbyz.New(ssbyz.WithRuntime(ssbyz.SocketRuntime(tr, 0))); err != nil {
+			t.Errorf("SocketRuntime(%q) error = %v, want nil", tr, err)
+		}
+	}
+	// The post-transient start state is a simulator-only scenario.
+	if _, err := ssbyz.New(ssbyz.WithTransientFault(1, 1), ssbyz.WithRuntime(ssbyz.SocketRuntime("udp", 0))); !errors.Is(err, ssbyz.ErrBadParams) {
+		t.Errorf("WithTransientFault on sockets error = %v, want ErrBadParams", err)
 	}
 
 	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSessions(2))
@@ -151,49 +171,32 @@ func TestEngineReplicatedLog(t *testing.T) {
 	}
 }
 
-// TestSimulationShimMatchesEngine is the old-API differential: the
-// deprecated Simulation builder must produce exactly the decisions of
-// the equivalent Engine run — it is a shim over the same engine, so the
-// single-agreement behavior of the pre-service facade is unchanged.
-func TestSimulationShimMatchesEngine(t *testing.T) {
-	cfg := ssbyz.Config{N: 7, Seed: 9}
-	sim, err := ssbyz.NewSimulation(cfg)
+// newEngine builds an engine from opts, failing the test on error.
+func newEngine(t testing.TB, opts ...ssbyz.Option) *ssbyz.Engine {
+	t.Helper()
+	eng, err := ssbyz.New(opts...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("New: %v", err)
 	}
-	d := sim.Params().D
-	sim.ScheduleAgreement(0, "v", 2*d)
-	legacy, err := sim.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return eng
+}
 
-	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(9))
+// openSession claims General g's next session on eng, failing the test
+// on error.
+func openSession(t testing.TB, eng *ssbyz.Engine, g ssbyz.NodeID) *ssbyz.Session {
+	t.Helper()
+	s, err := eng.OpenSession(g)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("OpenSession(%d): %v", g, err)
 	}
-	s, err := eng.OpenSession(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ProposeAt("v", 2*d); err != nil {
-		t.Fatal(err)
-	}
-	modern, err := eng.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return s
+}
 
-	a, b := legacy.Decisions(0), modern.Decisions(0)
-	if len(a) != len(b) {
-		t.Fatalf("decision counts differ: legacy %d vs engine %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d differs: legacy %+v vs engine %+v", i, a[i], b[i])
-		}
-	}
-	if legacy.Messages() != modern.Messages() {
-		t.Fatalf("message counts differ: legacy %d vs engine %d", legacy.Messages(), modern.Messages())
+// proposeAt schedules agreement on v at virtual time at in session s,
+// failing the test on error.
+func proposeAt(t testing.TB, s *ssbyz.Session, v ssbyz.Value, at ssbyz.Ticks) {
+	t.Helper()
+	if err := s.ProposeAt(v, at); err != nil {
+		t.Fatalf("ProposeAt(%q, %d): %v", v, at, err)
 	}
 }

@@ -3,8 +3,8 @@ package ssbyz
 import "errors"
 
 // Sentinel errors of the facade, matchable with errors.Is. Construction
-// and runtime errors across Engine, Simulation, and the cluster types
-// all wrap one of these, so callers branch on the class — a parameter
+// and runtime errors of the Engine and its Session and Log handles all
+// wrap one of these, so callers branch on the class — a parameter
 // outside the paper's model, a stopped engine, an exhausted footnote-9
 // slot budget — without parsing messages.
 var (

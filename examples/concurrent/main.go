@@ -15,23 +15,26 @@ import (
 )
 
 func main() {
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 33})
+	// Three agreements by the SAME General at the SAME instant — refused
+	// under plain IG1, legal across indexed slots (one session each).
+	values := []ssbyz.Value{"shard-a", "shard-b", "shard-c"}
+	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(33), ssbyz.WithSessions(len(values)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	pp := sim.Params()
-
-	// Three agreements by the SAME General at the SAME instant — refused
-	// under plain IG1, legal across indexed slots.
-	const slots = 3
-	sim.WithConcurrentSlots(slots)
+	pp := eng.Params()
 	t0 := 2 * pp.D
-	values := []ssbyz.Value{"shard-a", "shard-b", "shard-c"}
+	sessions := make([]*ssbyz.Session, len(values))
 	for slot, v := range values {
-		sim.ScheduleSlotAgreement(slot, 0, v, t0)
+		if sessions[slot], err = eng.OpenSession(0); err != nil {
+			log.Fatal(err)
+		}
+		if err := sessions[slot].ProposeAt(v, t0); err != nil {
+			log.Fatal(err)
+		}
 	}
 
-	report, err := sim.Run(3 * pp.DeltaAgr())
+	report, err := eng.Run(3 * pp.DeltaAgr())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +43,7 @@ func main() {
 	}
 
 	for slot, want := range values {
-		decs := report.SlotDecisions(0, slot)
+		decs := sessions[slot].Decisions(report.Report)
 		if len(decs) != pp.N {
 			log.Fatalf("slot %d: %d/%d nodes decided", slot, len(decs), pp.N)
 		}

@@ -17,18 +17,17 @@ import (
 func main() {
 	splitsSeen := 0
 	for seed := int64(0); seed < 10; seed++ {
-		sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: seed})
+		// Node 0 is a Byzantine General equivocating between two values
+		// at t = 2d; node 6 colludes by amplifying every wave it sees.
+		const d = ssbyz.Ticks(1000)
+		eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(seed), ssbyz.WithD(d),
+			ssbyz.WithFaultyNode(0, ssbyz.EquivocatingGeneral(2*d, "a", "b")),
+			ssbyz.WithFaultyNode(6, ssbyz.Colluder()))
 		if err != nil {
 			log.Fatal(err)
 		}
-		pp := sim.Params()
 
-		// Node 0 is a Byzantine General equivocating between two values;
-		// node 6 colludes by amplifying every wave it sees.
-		sim.WithFaulty(0, ssbyz.EquivocatingGeneral(2*pp.D, "a", "b"))
-		sim.WithFaulty(6, ssbyz.Colluder())
-
-		report, err := sim.Run(5 * pp.DeltaAgr())
+		report, err := eng.Run(5 * eng.Params().DeltaAgr())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,10 +1,9 @@
-// Live transports: the same protocol state machines running in real
-// time, twice — first over in-process channels (LiveCluster), then over
-// REAL loopback UDP sockets (SocketCluster), where every message crosses
-// the kernel through the binary wire codec, the sender is authenticated
-// by source address, and the paper's bounded-delay axiom is enforced by
-// deadline drops. The socket form is the single-process version of the
-// cmd/ssbyz-node daemon topology (see README "Running a real cluster").
+// Live sockets: the same protocol state machines running in real time
+// over REAL loopback UDP sockets, where every message crosses the kernel
+// through the binary wire codec, the sender is authenticated by source
+// address, and the paper's bounded-delay axiom is enforced by deadline
+// drops. This is the single-process version of the cmd/ssbyz-node daemon
+// topology (see README "Running a real cluster").
 //
 // Run with: go run ./examples/livenet
 package main
@@ -18,61 +17,44 @@ import (
 )
 
 func main() {
-	// ---- in-process channels ----
-	// d = 50 ticks × 100µs = 5ms; a full agreement bound Δagr at f=1 is
-	// (2·1+1)·8d = 120ms of wall time.
-	cluster, err := ssbyz.NewLiveCluster(ssbyz.LiveConfig{N: 4, D: 50, Seed: 9})
+	// Each node owns a loopback UDP socket: every message is serialized,
+	// authenticated, and subject to the transport's d deadline (frames
+	// older than d = 100 ticks × 100µs = 10ms are dropped as the model
+	// demands). Swap "udp" for "tcp" to see the lossless stream baseline.
+	eng, err := ssbyz.New(ssbyz.WithN(4), ssbyz.WithD(100),
+		ssbyz.WithRuntime(ssbyz.SocketRuntime("udp", 0)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Stop()
-	pp := cluster.Params()
-	fmt.Printf("live cluster (channels): n=%d f=%d d=%d ticks (≈%v wall)\n", pp.N, pp.F, pp.D, 5*time.Millisecond)
+	if err := eng.Start(); err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Stop()
+	pp := eng.Params()
+	fmt.Printf("socket cluster (loopback UDP): n=%d f=%d d=%d ticks (≈%v wall)\n",
+		pp.N, pp.F, pp.D, 10*time.Millisecond)
 
-	for i, v := range []ssbyz.Value{"config-v1", "config-v2"} {
+	for i, v := range []ssbyz.Value{"config-v1", "over-the-wire"} {
 		g := ssbyz.NodeID(i % pp.N)
-		start := time.Now()
-		if err := cluster.Initiate(g, v); err != nil {
-			log.Fatalf("initiate %q at node %d: %v", v, g, err)
+		s, err := eng.OpenSession(g)
+		if err != nil {
+			log.Fatal(err)
 		}
-		decided, err := cluster.Await(g, 10*time.Second)
+		start := time.Now()
+		if err := s.Propose(v); err != nil {
+			log.Fatalf("propose %q at node %d: %v", v, g, err)
+		}
+		decided, err := eng.Await(g, 10*time.Second)
 		if err != nil {
 			log.Fatalf("await %q: %v", v, err)
 		}
-		fmt.Printf("general %d: all nodes decided %q in %v\n", g, decided, time.Since(start).Round(time.Millisecond))
-
-		// Respect IG1: a correct General spaces initiations by Δ0 = 13d.
-		time.Sleep(15 * 5 * time.Millisecond)
+		fmt.Printf("general %d: all nodes decided %q over real sockets in %v\n",
+			g, decided, time.Since(start).Round(time.Millisecond))
 	}
-
-	// ---- real sockets ----
-	// Same protocol, but now each node owns a loopback UDP socket: every
-	// message is serialized, authenticated, and subject to the transport's
-	// d deadline (frames older than d = 10ms are dropped as the model
-	// demands). Swap "udp" for "tcp" to see the lossless stream baseline.
-	socks, err := ssbyz.NewSocketCluster(ssbyz.SocketConfig{N: 4, D: 100, Transport: "udp"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer socks.Stop()
-	spp := socks.Params()
-	fmt.Printf("socket cluster (loopback UDP): n=%d f=%d d=%d ticks (≈%v wall)\n",
-		spp.N, spp.F, spp.D, 10*time.Millisecond)
-
-	start := time.Now()
-	if err := socks.Initiate(1, "over-the-wire"); err != nil {
-		log.Fatalf("socket initiate: %v", err)
-	}
-	decided, err := socks.Await(1, 10*time.Second)
-	if err != nil {
-		log.Fatalf("socket await: %v", err)
-	}
-	fmt.Printf("general 1: all nodes decided %q over real sockets in %v\n",
-		decided, time.Since(start).Round(time.Millisecond))
 
 	// The collected trace passes the full property battery — the same
 	// checkers the simulator uses, now judging real network behaviour.
-	if vs := socks.Check(); len(vs) != 0 {
+	if vs := eng.CheckLive(); len(vs) != 0 {
 		log.Fatalf("battery violations over the socket trace: %v", vs)
 	}
 	fmt.Println("socket trace checked: every paper bound holds ✓")

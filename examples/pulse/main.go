@@ -17,20 +17,19 @@ import (
 )
 
 func main() {
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 21})
-	if err != nil {
-		log.Fatal(err)
-	}
-	pp := sim.Params()
-
 	// All correct nodes run the pulse layer; nodes 0 and 1 are faulty
 	// (crashed), so the first two cycle-Generals never initiate and the
 	// fallback rotation must cover for them.
-	sim.WithPulseSynchronization(0) // 0 = minimum legal cycle length
-	sim.WithFaulty(0, ssbyz.Crashed())
-	sim.WithFaulty(1, ssbyz.Crashed())
+	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(21),
+		ssbyz.WithPulseSynchronization(0), // 0 = minimum legal cycle length
+		ssbyz.WithFaultyNode(0, ssbyz.Crashed()),
+		ssbyz.WithFaultyNode(1, ssbyz.Crashed()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	pp := eng.Params()
 
-	report, err := sim.Run(10 * (pp.Delta0() + 3*pp.DeltaAgr()))
+	report, err := eng.Run(10 * (pp.Delta0() + 3*pp.DeltaAgr()))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,18 +13,24 @@ import (
 
 func main() {
 	// 7 nodes tolerate f = 2 Byzantine faults (n > 3f).
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 42})
+	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(42))
 	if err != nil {
 		log.Fatal(err)
 	}
-	pp := sim.Params()
+	pp := eng.Params()
 	fmt.Printf("n=%d f=%d d=%d ticks  (Φ=%d Δagr=%d)\n", pp.N, pp.F, pp.D, pp.Phi(), pp.DeltaAgr())
 
 	// Node 0, as the General, initiates agreement on "launch" at t = 2d.
 	t0 := 2 * pp.D
-	sim.ScheduleAgreement(0, "launch", t0)
+	general, err := eng.OpenSession(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := general.ProposeAt("launch", t0); err != nil {
+		log.Fatal(err)
+	}
 
-	report, err := sim.Run(0)
+	report, err := eng.Run(0)
 	if err != nil {
 		log.Fatal(err)
 	}

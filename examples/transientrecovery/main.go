@@ -17,16 +17,18 @@ import (
 )
 
 func main() {
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 7})
+	// Corrupt everything at the moment the network becomes coherent.
+	eng, err := ssbyz.New(ssbyz.WithN(7), ssbyz.WithSeed(7), ssbyz.WithTransientFault(1234, 1.0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	pp := sim.Params()
+	pp := eng.Params()
 	fmt.Printf("Δ0=%d Δrmv=%d Δreset=%d Δstb=%d (all ticks, d=%d)\n\n",
 		pp.Delta0(), pp.DeltaRmv(), pp.DeltaReset(), pp.DeltaStb(), pp.D)
-
-	// Corrupt everything at the moment the network becomes coherent.
-	sim.WithTransientFault(1234, 1.0)
+	general, err := eng.OpenSession(0)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// The General retries a fresh value every Δ0 + 2d.
 	spacing := pp.Delta0() + 2*pp.D
@@ -35,11 +37,13 @@ func main() {
 	for i := 0; at < pp.DeltaStb()+4*pp.DeltaAgr(); i++ {
 		v := ssbyz.Value(fmt.Sprintf("attempt-%d", i))
 		values = append(values, v)
-		sim.ScheduleAgreement(0, v, at)
+		if err := general.ProposeAt(v, at); err != nil {
+			log.Fatal(err)
+		}
 		at += spacing
 	}
 
-	report, err := sim.Run(at + 3*pp.DeltaAgr())
+	report, err := eng.Run(at + 3*pp.DeltaAgr())
 	if err != nil {
 		log.Fatal(err)
 	}

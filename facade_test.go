@@ -1,19 +1,16 @@
 package ssbyz_test
 
 import (
+	"errors"
 	"testing"
 
 	"ssbyz"
 )
 
 func TestPulseFacade(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 11})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	pp := s.Params()
-	s.WithPulseSynchronization(0)
-	report, err := s.Run(5 * (pp.Delta0() + 3*pp.DeltaAgr()))
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(11), ssbyz.WithPulseSynchronization(0))
+	pp := eng.Params()
+	report, err := eng.Run(5 * (pp.Delta0() + 3*pp.DeltaAgr()))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -45,16 +42,14 @@ func TestPulseFacade(t *testing.T) {
 }
 
 func TestVerifiedAndDecisionsFor(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 4, Seed: 12})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	pp := s.Params()
+	eng := newEngine(t, ssbyz.WithN(4), ssbyz.WithSeed(12))
+	pp := eng.Params()
 	t0 := 2 * pp.D
 	t1 := t0 + pp.DeltaV() + pp.D
-	s.ScheduleAgreement(0, "v", t0)
-	s.ScheduleAgreement(0, "v", t1) // same value after Δv: legal
-	report, err := s.Run(t1 + 3*pp.DeltaAgr())
+	s := openSession(t, eng, 0)
+	proposeAt(t, s, "v", t0)
+	proposeAt(t, s, "v", t1) // same value after Δv: legal
+	report, err := eng.Run(t1 + 3*pp.DeltaAgr())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -86,16 +81,13 @@ func TestVerifiedAndDecisionsFor(t *testing.T) {
 }
 
 func TestRunIsIdempotent(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 4, Seed: 13})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	s.ScheduleAgreement(0, "v", 2*s.Params().D)
-	r1, err := s.Run(0)
+	eng := newEngine(t, ssbyz.WithN(4), ssbyz.WithSeed(13))
+	proposeAt(t, openSession(t, eng, 0), "v", 2*eng.Params().D)
+	r1, err := eng.Run(0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	r2, err := s.Run(0)
+	r2, err := eng.Run(0)
 	if err != nil {
 		t.Fatalf("second Run: %v", err)
 	}
@@ -105,22 +97,15 @@ func TestRunIsIdempotent(t *testing.T) {
 }
 
 func TestDefaultConfigIsSevenNodes(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	if s.Params().N != 7 || s.Params().F != 2 {
-		t.Errorf("defaults = n%d f%d, want n7 f2", s.Params().N, s.Params().F)
+	pp := newEngine(t).Params()
+	if pp.N != 7 || pp.F != 2 {
+		t.Errorf("defaults = n%d f%d, want n7 f2", pp.N, pp.F)
 	}
 }
 
 func TestExplicitLowerF(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 10, F: 1})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	if s.Params().F != 1 {
-		t.Errorf("F = %d, want 1", s.Params().F)
+	if f := newEngine(t, ssbyz.WithN(10), ssbyz.WithF(1)).Params().F; f != 1 {
+		t.Errorf("F = %d, want 1", f)
 	}
 }
 
@@ -142,14 +127,10 @@ func TestAdversaryConstructorsRunClean(t *testing.T) {
 	for name, adv := range advs {
 		name, adv := name, adv
 		t.Run(name, func(t *testing.T) {
-			s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 14})
-			if err != nil {
-				t.Fatalf("NewSimulation: %v", err)
-			}
-			pp := s.Params()
-			s.WithFaulty(0, adv)
-			s.WithFaulty(6, ssbyz.Crashed())
-			report, err := s.Run(4 * pp.DeltaAgr())
+			eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(14),
+				ssbyz.WithFaultyNode(0, adv), ssbyz.WithFaultyNode(6, ssbyz.Crashed()))
+			pp := eng.Params()
+			report, err := eng.Run(4 * pp.DeltaAgr())
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -163,16 +144,13 @@ func TestAdversaryConstructorsRunClean(t *testing.T) {
 }
 
 func TestConcurrentSlotsFacade(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 15})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	pp := s.Params()
-	s.WithConcurrentSlots(2)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(15), ssbyz.WithSessions(2))
+	pp := eng.Params()
 	t0 := 2 * pp.D
-	s.ScheduleSlotAgreement(0, 0, "a", t0)
-	s.ScheduleSlotAgreement(1, 0, "b", t0) // same General, same instant
-	report, err := s.Run(3 * pp.DeltaAgr())
+	sessions := []*ssbyz.Session{openSession(t, eng, 0), openSession(t, eng, 0)}
+	proposeAt(t, sessions[0], "a", t0)
+	proposeAt(t, sessions[1], "b", t0) // same General, same instant
+	report, err := eng.Run(3 * pp.DeltaAgr())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -180,7 +158,7 @@ func TestConcurrentSlotsFacade(t *testing.T) {
 		t.Fatalf("refusals: %v", errs)
 	}
 	for slot, want := range []ssbyz.Value{"a", "b"} {
-		decs := report.SlotDecisions(0, slot)
+		decs := sessions[slot].Decisions(report.Report)
 		if len(decs) != pp.N {
 			t.Errorf("slot %d: %d deciders, want %d", slot, len(decs), pp.N)
 		}
@@ -192,17 +170,13 @@ func TestConcurrentSlotsFacade(t *testing.T) {
 	}
 }
 
+// TestSlotWithoutIndexedNodesRefused: plain Fig. 1 nodes have one
+// invocation slot per General, so a second concurrent session is refused
+// (no WithSessions).
 func TestSlotWithoutIndexedNodesRefused(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 4, Seed: 16})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	s.ScheduleSlotAgreement(1, 0, "v", 2*s.Params().D) // no WithConcurrentSlots
-	report, err := s.Run(0)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if _, ok := report.InitiationErrors()[0]; !ok {
-		t.Error("slot initiation on plain nodes not refused")
+	eng := newEngine(t, ssbyz.WithN(4), ssbyz.WithSeed(16))
+	openSession(t, eng, 0)
+	if _, err := eng.OpenSession(0); !errors.Is(err, ssbyz.ErrSessionLimit) {
+		t.Errorf("second session on plain nodes: error = %v, want ErrSessionLimit", err)
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // This file adapts the property battery to live-transport traces. A live
-// run (internal/nettrans, internal/livenet) produces the same TraceEvent
-// stream as the simulator — shaped into a sim.Result by
-// nettrans.BuildResult — so every checker applies unchanged; what differs
+// run (internal/nettrans) produces the same TraceEvent stream as the
+// simulator — shaped into a sim.Result by nettrans.BuildResult — so
+// every checker applies unchanged; what differs
 // is bookkeeping: the initiations are scripted by the driver rather than
 // a sim.Scenario, and decide latencies are the live experiment's headline
 // metric.

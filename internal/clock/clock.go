@@ -1,7 +1,6 @@
-// Package clock abstracts time for the real-time runtimes (livenet's
-// in-process channels, nettrans's sockets, the ssbyz-node daemon): a
-// Clock interface mirroring the package time operations those layers
-// use, a Real implementation that delegates to the wall clock, and a
+// Package clock abstracts time for the real-time runtimes (nettrans's
+// sockets and virtual wire, the ssbyz-node daemon): a Clock interface
+// mirroring the package time operations those layers use, a Real implementation that delegates to the wall clock, and a
 // deterministic Fake (fake.go) that fires timers in a total
 // (deadline, registration) order under explicit Advance/Step control.
 //

@@ -1,7 +1,7 @@
-// Package eventloop is the shared single-threaded execution core of the
-// real-time transports (internal/livenet over in-process channels,
-// internal/nettrans over UDP/TCP sockets): an unbounded FIFO mailbox
-// drained by one goroutine per node — so protocol state machines run
+// Package eventloop is the single-threaded execution core of the
+// real-time transport (internal/nettrans over UDP/TCP sockets and its
+// virtual wire): an unbounded FIFO mailbox drained by one goroutine per
+// node — so protocol state machines run
 // without locking, exactly as under the discrete-event simulator — and a
 // tracked set of timers whose shutdown is race-free.
 //

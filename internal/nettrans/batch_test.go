@@ -247,10 +247,10 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 	}
 }
 
-// TestLegacyWireFlagLiveCluster pins the off-switch on the wall-clock
+// TestLegacyWireFlagWallClockCluster pins the off-switch on the wall-clock
 // path: a real loopback UDP cluster with coalescing disabled completes
 // its agreement with zero containers on the wire.
-func TestLegacyWireFlagLiveCluster(t *testing.T) {
+func TestLegacyWireFlagWallClockCluster(t *testing.T) {
 	pp := liveParams(4)
 	c, err := NewCluster(ClusterConfig{
 		Params: pp, Transport: TransportUDP, LegacyDatagramPerFrame: true,

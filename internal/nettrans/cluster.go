@@ -71,8 +71,8 @@ type ClusterConfig struct {
 	// is the run's only entropy, so equal seeds replay byte-identically).
 	Seed int64
 	// DelayMin/DelayMax bound the virtual wire's per-frame delivery
-	// delay in ticks (defaults [D/4, D/2], like livenet; max D/2 so a
-	// chaos jitter of up to D/2 on top never crosses the d deadline).
+	// delay in ticks (defaults [D/4, D/2]; max D/2 so a chaos jitter of
+	// up to D/2 on top never crosses the d deadline).
 	DelayMin, DelayMax simtime.Duration
 	// Absent lists correct slots NOT booted at cluster start: their
 	// addresses exist (peers' sends have a destination) but no protocol

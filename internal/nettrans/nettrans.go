@@ -1,11 +1,11 @@
 // Package nettrans is the socket transport: protocol.Runtime over real
-// UDP and TCP sockets, speaking the internal/wire binary codec, with the
-// same event-loop/mailbox execution core (internal/eventloop) as the
-// in-process livenet transport. It is the layer that takes the protocol
-// state machines across process boundaries — serialization, sender
-// authentication, packet reordering, genuine wall-clock scheduling — and
-// the substrate of the node daemon (cmd/ssbyz-node), the `ssbyz-bench
-// -cluster` mode, and the L1 live experiment.
+// UDP and TCP sockets, speaking the internal/wire binary codec, on the
+// event-loop/mailbox execution core of internal/eventloop. It is the
+// layer that takes the protocol state machines across process
+// boundaries — serialization, sender authentication, packet reordering,
+// genuine wall-clock scheduling — and the substrate of the node daemon
+// (cmd/ssbyz-node), the `ssbyz-bench -cluster` mode, and the L1 live
+// experiment.
 //
 // Two transports, two fidelity points against the paper's model:
 //

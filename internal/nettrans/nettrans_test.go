@@ -299,8 +299,9 @@ func TestCorruptDatagramsAreCountedNotFatal(t *testing.T) {
 	await(t, "post-corruption delivery", func() bool { return stub.count() == 1 })
 }
 
-// TestClusterStopIsIdempotentAndTotal mirrors livenet's lifecycle
-// contract on the socket transport.
+// TestClusterStopIsIdempotentAndTotal pins the lifecycle contract of
+// the socket transport: Stop twice is fine, nothing is processed after
+// Stop, and DoWait on a stopped node returns instead of hanging.
 func TestClusterStopIsIdempotentAndTotal(t *testing.T) {
 	pp := liveParams(4)
 	c, err := NewCluster(ClusterConfig{Params: pp})
@@ -316,6 +317,16 @@ func TestClusterStopIsIdempotentAndTotal(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	if after := c.Recorder().Len(); after != before {
 		t.Errorf("events recorded after Stop: %d -> %d", before, after)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.DoWait(0, func(protocol.Node) {})
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("DoWait hung after Stop")
 	}
 }
 

@@ -17,8 +17,8 @@ type TimerTag struct {
 type TimerID uint64
 
 // Runtime is the environment a node runs in. Both the discrete-event
-// simulator (internal/simnet) and the live goroutine transport
-// (internal/livenet) implement it. All methods are called from the node's
+// simulator (internal/simnet) and the socket transport
+// (internal/nettrans) implement it. All methods are called from the node's
 // single event loop; implementations serialize delivery so Node code needs
 // no locking.
 type Runtime interface {
@@ -110,8 +110,8 @@ func (k EventKind) String() string {
 }
 
 // TraceEvent is one observation recorded during a run. RT is stamped by the
-// transport (the simulator knows virtual real time exactly; livenet uses
-// wall-clock). Tau and TauG are in the node's local frame; RTauG is the
+// transport (the simulator knows virtual real time exactly; nettrans
+// uses its clock — wall or virtual). Tau and TauG are in the node's local frame; RTauG is the
 // real-time instant at which the node's local clock read TauG, computed by
 // the transport so checkers can compare anchors across nodes (rt(τG) in the
 // paper).

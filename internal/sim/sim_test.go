@@ -61,3 +61,20 @@ func TestHappyPathWithCrashFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotOnPlainNodesRefused: a footnote-9 slot other than 0 needs
+// indexed nodes; plain Fig. 1 nodes refuse it as an initiation error.
+func TestSlotOnPlainNodesRefused(t *testing.T) {
+	pp := protocol.DefaultParams(4)
+	res, err := Run(Scenario{
+		Params:      pp,
+		Seed:        16,
+		Initiations: []Initiation{{At: simtime.Real(2 * pp.D), G: 0, Value: "v", Slot: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := res.InitErrs[0]; !ok {
+		t.Error("slot initiation on plain nodes not refused")
+	}
+}

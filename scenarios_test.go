@@ -69,19 +69,16 @@ func TestMinimizeScenarioShrinksFailingSpec(t *testing.T) {
 
 func TestFacadeAdversaryCombinatorsHoldTheBattery(t *testing.T) {
 	// A composed + staged + adaptive adversary population, driven through
-	// the Simulation facade: the paper's battery must hold regardless.
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := sim.Params()
-	sim.WithFaulty(4, ssbyz.ComposeAdversaries(ssbyz.Colluder(), ssbyz.MirrorVoter())).
-		WithFaulty(5, ssbyz.StagedAdversary(
+	// the Engine facade: the paper's battery must hold regardless.
+	const d = ssbyz.Ticks(1000)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(3), ssbyz.WithD(d),
+		ssbyz.WithFaultyNode(4, ssbyz.ComposeAdversaries(ssbyz.Colluder(), ssbyz.MirrorVoter())),
+		ssbyz.WithFaultyNode(5, ssbyz.StagedAdversary(
 			ssbyz.AdversaryStage{Adv: ssbyz.Crashed()},
-			ssbyz.AdversaryStage{At: 3 * pp.D, Adv: ssbyz.EdgeSupporter()},
-		)).
-		ScheduleAgreement(0, "launch", 2*pp.D)
-	rep, err := sim.Run(0)
+			ssbyz.AdversaryStage{At: 3 * d, Adv: ssbyz.EdgeSupporter()},
+		)))
+	proposeAt(t, openSession(t, eng, 0), "launch", 2*d)
+	rep, err := eng.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +91,10 @@ func TestFacadeAdversaryCombinatorsHoldTheBattery(t *testing.T) {
 }
 
 func TestFacadeAdaptiveAdversaryArms(t *testing.T) {
-	sim, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := sim.Params()
-	sim.WithFaulty(6, ssbyz.AdaptiveAdversary(0, nil, ssbyz.Colluder())).
-		ScheduleAgreement(0, "go", 2*pp.D)
-	rep, err := sim.Run(0)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(4),
+		ssbyz.WithFaultyNode(6, ssbyz.AdaptiveAdversary(0, nil, ssbyz.Colluder())))
+	proposeAt(t, openSession(t, eng, 0), "go", 2*eng.Params().D)
+	rep, err := eng.Run(0)
 	if err != nil {
 		t.Fatal(err)
 	}

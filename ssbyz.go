@@ -5,20 +5,23 @@
 // synchronization layer built on top, and the simulation substrate that
 // makes every proved bound of the paper measurable.
 //
-// The package offers two ways to run the protocol:
+// The package runs the protocol through one service-oriented entry
+// point, the Engine (New), on one of two runtimes:
 //
-//   - Simulation: a deterministic discrete-event world with per-node
-//     drifting clocks and adversarial message timing, where virtual real
-//     time and each node's local reading are both observable — this is
-//     how the paper's Timeliness/IA/TPS bounds are verified exactly.
+//   - SimRuntime (the default): a deterministic discrete-event world with
+//     per-node drifting clocks and adversarial message timing, where
+//     virtual real time and each node's local reading are both
+//     observable — this is how the paper's Timeliness/IA/TPS bounds are
+//     verified exactly.
 //
-//   - Live: a goroutine-per-node transport over in-process channels with
-//     wall-clock delays, for embedding the protocol in real services.
+//   - SocketRuntime: a loopback cluster where every message crosses a
+//     real UDP or TCP socket through the binary wire codec, for
+//     demonstrating the bounds wall-clock and embedding the protocol in
+//     real services.
 //
-// Both runtimes are driven through one service-oriented entry point, the
-// Engine: agreement sessions (individual invocations, concurrent per
-// footnote 9) and replicated logs (ordered client proposals, each
-// committed through one agreement) are opened as handles on it.
+// Agreement sessions (individual invocations, concurrent per footnote 9)
+// and replicated logs (ordered client proposals, each committed through
+// one agreement) are opened as handles on the Engine.
 //
 // Quickstart (one agreement, simulated):
 //
@@ -49,11 +52,8 @@ import (
 	"ssbyz/internal/harness"
 	"ssbyz/internal/indexed"
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/pulse"
 	"ssbyz/internal/sim"
-	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
-	"ssbyz/internal/transient"
 )
 
 // Re-exported fundamental types. They alias the internal protocol
@@ -80,147 +80,15 @@ type (
 // Bottom is the ⊥ value (abort / no decision).
 const Bottom = protocol.Bottom
 
-// Config describes a cluster under the paper's model: n nodes of which
-// at most F are Byzantine (n > 3f), message delays bounded by D (the
-// paper's d), and actual delays — the δ of the headline claim — drawn
-// from [DelayMin, DelayMax].
-//
-// Deprecated: Config is the pre-Engine configuration struct, kept for the
-// Simulation shim; new code passes the equivalent functional options
-// (WithN, WithF, WithD, WithSeed, WithDelayBounds) to New.
-type Config struct {
-	// N is the number of nodes. F defaults to ⌊(N−1)/3⌋ (optimal).
-	N int
-	// F optionally lowers the fault bound below optimal.
-	F int
-	// D is the message delivery+processing bound in ticks (default 1000).
-	D Ticks
-	// Seed drives all randomness; identical seeds reproduce runs exactly.
-	Seed int64
-	// DelayMin/DelayMax bound actual message delays (default [D/2, D]).
-	// Lowering them below D is how "the actual communication network
-	// speed" of the paper's headline claim is modelled.
-	DelayMin, DelayMax Ticks
-}
-
-// options translates the legacy Config into Engine options.
-func (c Config) options() []Option {
-	opts := []Option{WithSeed(c.Seed)}
-	if c.N > 0 {
-		opts = append(opts, WithN(c.N))
-	}
-	if c.F > 0 {
-		opts = append(opts, WithF(c.F))
-	}
-	if c.D > 0 {
-		opts = append(opts, WithD(c.D))
-	}
-	if c.DelayMin > 0 || c.DelayMax > 0 {
-		opts = append(opts, WithDelayBounds(c.DelayMin, c.DelayMax))
-	}
-	return opts
-}
-
 // Adversary scripts a Byzantine node. Construct values with the
-// constructors in adversaries.go; a nil Adversary in WithFaulty marks a
-// crash-faulty node.
+// constructors in adversaries.go; a nil Adversary in WithFaultyNode marks
+// a crash-faulty node.
 type Adversary = protocol.Node
 
 // Decision is one correct node's return for a General: the decided value
 // (or ⊥ on abort), its real and local return times, and the anchor τG
 // the decision is timed against.
 type Decision = sim.Decision
-
-// Simulation is a deterministic world realizing the paper's model —
-// bounded message delays, per-node drifting clocks, up to f Byzantine
-// nodes. Configure (faults, scheduled agreements, transient corruption),
-// then Run.
-//
-// Deprecated: Simulation is a thin shim over Engine, kept for existing
-// callers; new code uses New with SimRuntime (the default) and
-// OpenSession/Log handles.
-type Simulation struct {
-	eng    *Engine
-	report *Report
-}
-
-// NewSimulation validates the config (the paper's n > 3f resilience
-// precondition among the checks; failures wrap ErrBadParams) and prepares
-// an empty scenario.
-func NewSimulation(cfg Config) (*Simulation, error) {
-	eng, err := New(cfg.options()...)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulation{eng: eng}, nil
-}
-
-// Params returns the resolved protocol constants (n, f, d and the
-// derived Δ bounds of the paper's Section 3).
-func (s *Simulation) Params() Params { return s.eng.pp }
-
-// WithFaulty marks node id Byzantine, driven by the given adversary (nil
-// for a crashed node); the scenario may hold at most f = ⌊(n−1)/3⌋ of
-// them. It returns s for chaining.
-func (s *Simulation) WithFaulty(id NodeID, adv Adversary) *Simulation {
-	s.eng.faulty[id] = adv
-	return s
-}
-
-// WithConcurrentSlots turns every correct node into an indexed node with
-// the given number of concurrent-invocation slots (the paper's footnote-9
-// extension): one General may run up to that many agreements at once, the
-// sending-validity criteria applying per slot. Schedule with
-// ScheduleSlotAgreement and read results with Report.SlotDecisions.
-func (s *Simulation) WithConcurrentSlots(slots int) *Simulation {
-	if slots < 1 {
-		slots = 1
-	}
-	s.eng.sessions = slots
-	s.eng.newNode = func() protocol.Node { return indexed.NewNode(slots) }
-	return s
-}
-
-// ScheduleSlotAgreement schedules General g to initiate v in the given
-// concurrent slot at virtual time at (requires WithConcurrentSlots).
-func (s *Simulation) ScheduleSlotAgreement(slot int, g NodeID, v Value, at Ticks) *Simulation {
-	s.eng.manual = append(s.eng.manual, sim.Initiation{
-		At: simtime.Real(at), G: g, Value: v, Slot: slot,
-	})
-	return s
-}
-
-// SlotDecisions returns the correct nodes' decide-returns for General g
-// in one concurrent slot (the paper's footnote-9 extension), with the
-// slot namespace stripped from values.
-func (r *Report) SlotDecisions(g NodeID, slot int) []Decision {
-	var out []Decision
-	for _, d := range r.res.Decisions(g) {
-		if !d.Decided {
-			continue
-		}
-		sl, inner, ok := indexed.ParseSlotValue(d.Value)
-		if !ok || sl != slot {
-			continue
-		}
-		d.Value = inner
-		out = append(out, d)
-	}
-	return out
-}
-
-// WithPulseSynchronization turns every correct node into a pulse node:
-// the cluster fires recurring synchronized pulses (the paper's companion
-// [6] layer built atop ss-Byz-Agree), each cycle inheriting the
-// agreement's 3d decision skew (Timeliness-1a). cycle is the local-time
-// spacing between pulses; values below the legal minimum are raised to
-// it. Retrieve fired pulses with Report.Pulses.
-func (s *Simulation) WithPulseSynchronization(cycle Ticks) *Simulation {
-	s.eng.newNode = func() protocol.Node {
-		return pulse.NewNode(pulse.Config{Cycle: cycle})
-	}
-	return s
-}
 
 // Pulse is one fired pulse at one node of the companion [6]
 // pulse-synchronization layer; pulses of one cycle land within the
@@ -246,42 +114,6 @@ func (r *Report) Pulses() map[int][]Pulse {
 	return out
 }
 
-// WithTransientFault corrupts every node's state to an arbitrary
-// (seed-determined) configuration at the moment the run begins — the
-// paper's post-transient scenario. Severity in (0,1] scales how much of
-// the state is corrupted; 1 corrupts everything.
-func (s *Simulation) WithTransientFault(seed int64, severity float64) *Simulation {
-	s.eng.corrupt = func(w *simnet.World) {
-		transient.Corrupt(w, transient.Config{Seed: seed, Severity: severity})
-	}
-	return s
-}
-
-// ScheduleAgreement schedules General g to initiate agreement on v at
-// virtual time at. The initiation is refused (and recorded in the report)
-// if it violates the sending-validity criteria IG1–IG3.
-func (s *Simulation) ScheduleAgreement(g NodeID, v Value, at Ticks) *Simulation {
-	s.eng.manual = append(s.eng.manual, sim.Initiation{
-		At: simtime.Real(at), G: g, Value: v,
-	})
-	return s
-}
-
-// Run executes the simulation for the given virtual duration (0 means
-// three Δagr agreement spans past the last scheduled initiation) and
-// returns the report. Run may be called once per Simulation.
-func (s *Simulation) Run(runFor Ticks) (*Report, error) {
-	if s.report != nil {
-		return s.report, nil
-	}
-	sr, err := s.eng.Run(runFor)
-	if err != nil {
-		return nil, err
-	}
-	s.report = sr.Report
-	return s.report, nil
-}
-
 // Report exposes a finished run's outcomes and the checks of the paper's
 // proved properties (Agreement, Validity, Timeliness, IA-*, TPS-*).
 type Report struct {
@@ -297,6 +129,25 @@ func (r *Report) Decisions(g NodeID) []Decision {
 	cached := r.res.Decisions(g)
 	out := make([]Decision, len(cached))
 	copy(out, cached)
+	return out
+}
+
+// slotDecisions returns the correct nodes' decide-returns for General g
+// in one concurrent slot (the paper's footnote-9 extension), with the
+// slot namespace stripped from values.
+func (r *Report) slotDecisions(g NodeID, slot int) []Decision {
+	var out []Decision
+	for _, d := range r.res.Decisions(g) {
+		if !d.Decided {
+			continue
+		}
+		sl, inner, ok := indexed.ParseSlotValue(d.Value)
+		if !ok || sl != slot {
+			continue
+		}
+		d.Value = inner
+		out = append(out, d)
+	}
 	return out
 }
 
@@ -374,7 +225,7 @@ func (r *Report) Messages() int64 {
 // ss-Byz-Agree stack of Fig. 1 (sending-validity criteria IG1–IG3,
 // Blocks K/L/Q/R) over Initiator-Accept and msgd-broadcast — for callers
 // embedding the protocol behind their own transport. Most users should
-// prefer Simulation or LiveCluster.
+// prefer an Engine (New), on the simulator or on sockets.
 func NewCorrectNode() *core.Node { return core.NewNode() }
 
 // ExperimentOptions tunes RunExperiments — the sweeps that re-measure the

@@ -1,6 +1,7 @@
 package ssbyz_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,13 +10,10 @@ import (
 )
 
 func TestSimulationQuickstart(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 1})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	d := s.Params().D
-	s.ScheduleAgreement(0, "launch", 2*d)
-	report, err := s.Run(0)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(1))
+	d := eng.Params().D
+	proposeAt(t, openSession(t, eng, 0), "launch", 2*d)
+	report, err := eng.Run(0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -34,26 +32,23 @@ func TestSimulationQuickstart(t *testing.T) {
 }
 
 func TestSimulationRejectsBadConfig(t *testing.T) {
-	cases := []ssbyz.Config{
-		{N: 3, F: 1},  // violates n > 3f
-		{N: 7, F: 10}, // F above optimal bound
+	cases := []struct{ n, f int }{
+		{3, 1},  // violates n > 3f
+		{7, 10}, // F above optimal bound
 	}
-	for _, cfg := range cases {
-		if _, err := ssbyz.NewSimulation(cfg); err == nil {
-			t.Errorf("NewSimulation(%+v) accepted an invalid config", cfg)
+	for _, c := range cases {
+		if _, err := ssbyz.New(ssbyz.WithN(c.n), ssbyz.WithF(c.f)); !errors.Is(err, ssbyz.ErrBadParams) {
+			t.Errorf("New(n=%d, f=%d) error = %v, want ErrBadParams", c.n, c.f, err)
 		}
 	}
 }
 
 func TestSimulationFaultyGeneralNoSplit(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 3})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	d := s.Params().D
-	s.WithFaulty(0, ssbyz.EquivocatingGeneral(2*d, "a", "b"))
-	s.WithFaulty(6, ssbyz.Colluder())
-	report, err := s.Run(5 * s.Params().DeltaAgr())
+	const d = ssbyz.Ticks(1000)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(3), ssbyz.WithD(d),
+		ssbyz.WithFaultyNode(0, ssbyz.EquivocatingGeneral(2*d, "a", "b")),
+		ssbyz.WithFaultyNode(6, ssbyz.Colluder()))
+	report, err := eng.Run(5 * eng.Params().DeltaAgr())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -72,16 +67,12 @@ func TestSimulationFaultyGeneralNoSplit(t *testing.T) {
 }
 
 func TestSimulationTransientRecovery(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 7, Seed: 4})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	pp := s.Params()
-	s.WithTransientFault(99, 1.0)
+	eng := newEngine(t, ssbyz.WithN(7), ssbyz.WithSeed(4), ssbyz.WithTransientFault(99, 1.0))
+	pp := eng.Params()
 	// Initiate well after Δstb: the system must have converged by then.
 	at := pp.DeltaStb() + 2*pp.D
-	s.ScheduleAgreement(0, "recovered", at)
-	report, err := s.Run(at + 3*pp.DeltaAgr())
+	proposeAt(t, openSession(t, eng, 0), "recovered", at)
+	report, err := eng.Run(at + 3*pp.DeltaAgr())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -97,14 +88,12 @@ func TestSimulationTransientRecovery(t *testing.T) {
 }
 
 func TestSimulationIG1Refusal(t *testing.T) {
-	s, err := ssbyz.NewSimulation(ssbyz.Config{N: 4, Seed: 5})
-	if err != nil {
-		t.Fatalf("NewSimulation: %v", err)
-	}
-	d := s.Params().D
-	s.ScheduleAgreement(0, "one", 2*d)
-	s.ScheduleAgreement(0, "two", 3*d) // < Δ0 after the first
-	report, err := s.Run(0)
+	eng := newEngine(t, ssbyz.WithN(4), ssbyz.WithSeed(5))
+	d := eng.Params().D
+	s := openSession(t, eng, 0)
+	proposeAt(t, s, "one", 2*d)
+	proposeAt(t, s, "two", 3*d) // < Δ0 after the first
+	report, err := eng.Run(0)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -134,20 +123,26 @@ func TestRunExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestLiveClusterEndToEnd(t *testing.T) {
-	lc, err := ssbyz.NewLiveCluster(ssbyz.LiveConfig{N: 4, Seed: 6})
-	if err != nil {
-		t.Fatalf("NewLiveCluster: %v", err)
+// TestEngineSocketEndToEnd drives the interactive socket path of the
+// Engine over loopback UDP: Start, an immediate Propose, Await for the
+// unanimous decision, then the property battery over the wall-clock trace.
+func TestEngineSocketEndToEnd(t *testing.T) {
+	eng := newEngine(t, ssbyz.WithN(4), ssbyz.WithRuntime(ssbyz.SocketRuntime("udp", 0)))
+	if err := eng.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	defer lc.Stop()
-	if err := lc.Initiate(0, "hello"); err != nil {
-		t.Fatalf("Initiate: %v", err)
+	defer eng.Stop()
+	if err := openSession(t, eng, 0).Propose("hello"); err != nil {
+		t.Fatalf("Propose: %v", err)
 	}
-	v, err := lc.Await(0, 10*time.Second)
+	v, err := eng.Await(0, 10*time.Second)
 	if err != nil {
 		t.Fatalf("Await: %v", err)
 	}
 	if v != "hello" {
 		t.Errorf("decided %q, want \"hello\"", v)
+	}
+	if vs := eng.CheckLive(); len(vs) != 0 {
+		t.Errorf("battery violations over the socket trace: %v", vs)
 	}
 }
