@@ -12,17 +12,16 @@ import (
 // returns per-node decision latencies in ticks plus the total message
 // count. It is the baseline half of a latCell and of the S1 scaling
 // cells; the head-to-head experiments fan it out per seed via sweep.
-func runBaseline(opt Options, pp protocol.Params, seed int64, delta simtime.Duration) ([]float64, int64) {
+func runBaseline(pp protocol.Params, seed int64, delta simtime.Duration) ([]float64, int64) {
 	min := delta / 2
 	if min == 0 {
 		min = 1
 	}
 	w, err := simnet.New(simnet.Config{
-		Params:       pp,
-		Seed:         seed,
-		DelayMin:     min,
-		DelayMax:     delta,
-		LegacyFanout: opt.LegacyFanout,
+		Params:   pp,
+		Seed:     seed,
+		DelayMin: min,
+		DelayMax: delta,
 	})
 	if err != nil {
 		return nil, 0

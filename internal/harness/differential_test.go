@@ -1,100 +1,87 @@
 package harness
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
+	"ssbyz/internal/core"
+	"ssbyz/internal/golden"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/sim"
 	"ssbyz/internal/simtime"
 )
 
-// renderReport renders experiment results the way RunAll does, minus the
-// non-deterministic JSON-only fields (WallMS etc. are not written by
-// WriteTo), so two renders can be compared byte for byte.
-func renderReport(t *testing.T, opt Options, exps ...func(Options) *Result) []byte {
+// Fan-out goldens at experiment scale. Both files under testdata were
+// rendered by the per-recipient fan-out before its off-switch was
+// removed, and these tests render the same inputs on today's simulator
+// and require the same bytes. The fan-out differential itself — both
+// paths side by side, with batches proven to fire — is simnet's
+// TestBatchedFanoutMatchesPerRecipient.
+
+// fanoutReport renders E1, E7 and the S1 table at n ∈ {4, 16, 31}.
+func fanoutReport(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	for _, run := range exps {
-		if _, err := run(opt).WriteTo(&buf); err != nil {
-			t.Fatalf("render: %v", err)
-		}
-	}
-	return buf.Bytes()
+	out := renderReport(t, Options{Quick: true}, E1ValidityLatency, E7FaultyGeneralAgreement)
+	tb, violations, _ := ScalingTable(Options{Quick: true}, []int{4, 16, 31})
+	return fmt.Appendf(out, "S1 n=4,16,31 violations=%d\n%s", violations, tb.String())
 }
 
-// TestBatchedVsLegacyReportsIdentical pins the batched fan-out delivery
-// path to the legacy per-recipient one across whole experiments: E1
-// (fault-free sweeps), E7 (equivocating General + colluder), and the S1
-// scaling table (head-to-head incl. the TPS-87 baseline and the
-// deterministic processed-event column). The reports must be byte
-// identical — batching may only change how deliveries are scheduled,
-// never what any node observes.
+// TestBatchedVsLegacyReportsIdentical is a report golden, not a fan-out
+// differential: it pins whole experiment reports — E1 (fault-free
+// sweeps), E7 (equivocating General + colluder) and the S1 scaling table
+// with its deterministic processed-event column — to the bytes the
+// per-recipient fan-out rendered. Their delays span [d/2, d], wider than
+// 4n at these sizes, so both then and now they run the per-recipient
+// path.
 func TestBatchedVsLegacyReportsIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs three experiments twice; skipped in -short")
+		t.Skip("runs three experiments; skipped in -short")
 	}
-	batched := renderReport(t, Options{Quick: true}, E1ValidityLatency, E7FaultyGeneralAgreement)
-	legacy := renderReport(t, Options{Quick: true, LegacyFanout: true}, E1ValidityLatency, E7FaultyGeneralAgreement)
-	if !bytes.Equal(batched, legacy) {
-		t.Fatalf("E1/E7 reports differ between batched and legacy fan-out:\n--- batched ---\n%s\n--- legacy ---\n%s", batched, legacy)
-	}
-
-	// S1 on a reduced sweep (the full quick sweep reaches n=128; the
-	// differential result is independent of n, and n=31 already exercises
-	// multi-recipient batches on every tick).
-	ns := []int{4, 16, 31}
-	tb, vb, _ := ScalingTable(Options{Quick: true}, ns)
-	tl, vl, _ := ScalingTable(Options{Quick: true, LegacyFanout: true}, ns)
-	if vb != vl {
-		t.Fatalf("S1 violations differ: batched %d vs legacy %d", vb, vl)
-	}
-	if tb.String() != tl.String() {
-		t.Fatalf("S1 table differs between batched and legacy fan-out:\n%s\nvs\n%s", tb.String(), tl.String())
-	}
+	golden.Check(t, "testdata/fanout_e1e7s1_quick.golden", fanoutReport(t))
 }
 
-// TestBatchedVsLegacyWorldIdentical compares a single world run under both
-// fan-out modes at the trace level: every recorded event (in order), the
-// per-kind message counts, and the processed-event counter must agree
-// exactly — the strongest form of the delivery-order guarantee.
+// fanoutWorld runs one n=16 agreement with delays in [d−60, d] — a span
+// of 61 ≤ 4n, so the simulator takes the batched fan-out (simnet's
+// differential fails if this n and span stop selecting it) — and digests
+// everything the run makes observable: the per-kind message counts, the
+// processed-event counter and the full trace, in order.
+func fanoutWorld(t *testing.T, seed int64) string {
+	t.Helper()
+	pp := protocol.DefaultParams(16)
+	res, err := sim.Run(sim.Scenario{
+		Params:      pp,
+		Seed:        seed,
+		DelayMin:    pp.D - 60,
+		DelayMax:    pp.D,
+		NewNode:     func() protocol.Node { return core.NewNode() },
+		Initiations: []sim.Initiation{{At: simtime.Real(2 * pp.D), G: 0, Value: "v"}},
+	})
+	if err != nil {
+		t.Fatalf("seed %d: run: %v", seed, err)
+	}
+	total, byKind := res.World.MessageCount()
+	h := sha256.New()
+	decides := 0
+	for _, ev := range res.Rec.Events() {
+		fmt.Fprintf(h, "%+v\n", ev)
+		if ev.Kind == protocol.EvDecide {
+			decides++
+		}
+	}
+	return fmt.Sprintf("seed=%d messages=%d kinds=%v processed=%d events=%d decides=%d trace-sha256=%x\n",
+		seed, total, byKind, res.World.Scheduler().Processed(), len(res.Rec.Events()), decides, h.Sum(nil))
+}
+
+// TestBatchedVsLegacyWorldIdentical compares single batched worlds at
+// the trace level — every recorded event in order, the per-kind message
+// counts and the processed-event counter — against the digests the
+// per-recipient fan-out produced, the strongest form of the
+// delivery-order guarantee.
 func TestBatchedVsLegacyWorldIdentical(t *testing.T) {
-	run := func(legacy bool, seed int64) (*sim.Result, int64, map[protocol.MsgKind]int64, uint64) {
-		pp := protocol.DefaultParams(16)
-		res, err := sim.Run(sim.Scenario{
-			Params:       pp,
-			Seed:         seed,
-			Initiations:  []sim.Initiation{{At: simtime.Real(2 * pp.D), G: 0, Value: "v"}},
-			LegacyFanout: legacy,
-		})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		total, byKind := res.World.MessageCount()
-		return res, total, byKind, res.World.Scheduler().Processed()
-	}
+	var got []byte
 	for seed := int64(0); seed < 3; seed++ {
-		resB, totB, kindB, procB := run(false, seed)
-		resL, totL, kindL, procL := run(true, seed)
-		if totB != totL {
-			t.Fatalf("seed %d: MessageCount %d (batched) != %d (legacy)", seed, totB, totL)
-		}
-		for k, v := range kindL {
-			if kindB[k] != v {
-				t.Fatalf("seed %d: kind %v count %d (batched) != %d (legacy)", seed, k, kindB[k], v)
-			}
-		}
-		if procB != procL {
-			t.Fatalf("seed %d: Processed %d (batched) != %d (legacy)", seed, procB, procL)
-		}
-		evB, evL := resB.Rec.Events(), resL.Rec.Events()
-		if len(evB) != len(evL) {
-			t.Fatalf("seed %d: %d trace events (batched) != %d (legacy)", seed, len(evB), len(evL))
-		}
-		for i := range evB {
-			if evB[i] != evL[i] {
-				t.Fatalf("seed %d: trace event %d differs:\nbatched: %+v\nlegacy:  %+v", seed, i, evB[i], evL[i])
-			}
-		}
+		got = append(got, fanoutWorld(t, seed)...)
 	}
+	golden.Check(t, "testdata/fanout_world_n16.golden", got)
 }

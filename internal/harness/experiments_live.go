@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ssbyz/internal/check"
+	"ssbyz/internal/clock"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
@@ -43,9 +44,10 @@ const (
 	liveTick = 100 * time.Microsecond
 )
 
-// liveCell is one live cluster run: a cluster is brought up, one
-// agreement runs to decision, the trace is checked, the cluster torn
-// down.
+// liveCell is one cluster run: a cluster is brought up, one agreement
+// runs to decision, the trace is checked, the cluster torn down. The
+// wall-clock fields are measurements on real sockets and noise under
+// virtual time, where no row reads them.
 type liveCell struct {
 	lats       []float64 // per-node decide latency, ticks
 	stats      nettrans.Stats
@@ -58,12 +60,18 @@ type liveCell struct {
 	// starved the run (deadline drops under CPU contention), not that the
 	// protocol failed. Incomplete cells are retried a bounded number of
 	// times; battery violations on a complete run are never retried.
+	// Virtual time cannot be starved by the host, so a virtual cell is
+	// never incomplete: non-decision there is always protocol signal.
 	incomplete bool
 }
 
-// runLiveCell runs one agreement on a fresh loopback cluster.
+// runLiveCell runs one agreement on a fresh cluster. virtual selects the
+// fake-clock deterministic wire (V1) versus real loopback sockets (L1).
+// Under virtual time all randomness is the wire seed, so equal arguments
+// give equal cells, which is what lets V1 fan out across workers without
+// losing determinism.
 func runLiveCell(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, legacy bool) liveCell {
+	faulty map[protocol.NodeID]protocol.Node, seed int64, virtual bool) liveCell {
 	cellStart := time.Now()
 	var c liveCell
 	fail := func(format string, args ...any) liveCell {
@@ -74,23 +82,29 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 	}
 	pp := protocol.DefaultParams(n)
 	pp.D = liveD
-	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
+	cfg := nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: transport,
-		Conditions: conds, Faulty: faulty,
-		LegacyDatagramPerFrame: legacy,
-	})
+		Conditions: conds, Faulty: faulty, Seed: seed,
+	}
+	initWait := 5 * time.Second
+	budget := time.Duration(pp.DeltaAgr())*liveTick + 5*time.Second
+	if virtual {
+		cfg.Clock = clock.NewFake(time.Time{})
+		initWait = time.Second
+		budget = time.Duration(pp.DeltaAgr()+20*pp.D) * liveTick
+	}
+	cl, err := nettrans.NewCluster(cfg)
 	if err != nil {
 		return fail("cluster: %v", err)
 	}
 	defer cl.Stop()
 
 	agrStart := time.Now()
-	const value = protocol.Value("l1")
-	t0, err := cl.Initiate(0, value, 5*time.Second)
+	const value = protocol.Value("v1")
+	t0, err := cl.Initiate(0, value, initWait)
 	if err != nil {
 		return fail("initiate: %v", err)
 	}
-	budget := time.Duration(pp.DeltaAgr())*liveTick + 5*time.Second
 	deciders := cl.AwaitDecisions(0, value, budget)
 	c.agrWallS = time.Since(agrStart).Seconds()
 	c.stats = cl.Stats()
@@ -99,6 +113,9 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 	lr := &check.LiveResult{Result: res}
 	c.lats = lr.DecideLatencies(0, value, t0)
 	if deciders != len(res.Correct) || len(c.lats) != len(res.Correct) {
+		if virtual {
+			return fail("only %d/%d correct nodes decided under virtual time", deciders, len(res.Correct))
+		}
 		c.incomplete = true
 		return fail("only %d/%d correct nodes decided (%d late drops — host contention?)",
 			deciders, len(res.Correct), c.stats.LateDrops)
@@ -112,25 +129,12 @@ func runLiveCell(n int, transport string, conds []simnet.Condition,
 	return c
 }
 
-// runLiveCellRetry reruns environmentally failed (incomplete) cells up
-// to two more times. A cell that stays incomplete after three attempts,
-// or that completes with battery violations on any attempt, is reported
-// as-is: persistent non-decision IS signal, and a violated bound on a
-// complete run always is.
-func runLiveCellRetry(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, legacy bool) (liveCell, int) {
-	var c liveCell
-	for attempt := 0; ; attempt++ {
-		c = runLiveCell(n, transport, conds, faulty, legacy)
-		if !c.incomplete || attempt >= 2 {
-			return c, attempt
-		}
-	}
-}
-
-// liveRow aggregates a (config, seeds) series into one table row.
+// liveRow aggregates a (config, seeds) series into one table row and
+// returns the mean cell wall clock in ms. Virtual rows report latencies
+// in whole ticks and drop the wall-clock msgs/sec column; live rows
+// report milliseconds.
 func liveRow(t *metrics.Table, label string, n, seeds int, cells []liveCell,
-	r *Result, cellWall map[string]float64, wallKey string) {
+	r *Result, virtual bool) float64 {
 	pp := protocol.DefaultParams(n)
 	var lats []float64
 	var sent, late, chaosDrops int64
@@ -149,21 +153,26 @@ func liveRow(t *metrics.Table, label string, n, seeds int, cells []liveCell,
 		}
 	}
 	s := metrics.Summarize(lats)
-	tickMS := float64(liveTick.Microseconds()) / 1000
-	msgsPerSec := 0.0
-	if agrWallS > 0 {
-		msgsPerSec = float64(sent) / agrWallS
+	scale, format := float64(liveTick.Microseconds())/1000, "%.2f"
+	if virtual {
+		scale, format = 1, "%.0f"
 	}
-	t.AddRow(label, n, pp.F, seeds,
-		fmt.Sprintf("%.2f", s.P50*tickMS),
-		fmt.Sprintf("%.2f", s.P95*tickMS),
-		fmt.Sprintf("%.2f", s.Max*tickMS),
+	row := []any{label, n, pp.F, seeds,
+		fmt.Sprintf(format, s.P50*scale),
+		fmt.Sprintf(format, s.P95*scale),
+		fmt.Sprintf(format, s.Max*scale),
 		fmt.Sprintf("%.3f", s.P50/float64(liveD)),
-		float64(sent)/float64(seeds),
-		fmt.Sprintf("%.0f", msgsPerSec),
-		late, chaosDrops, violations)
+		float64(sent) / float64(seeds)}
+	if !virtual {
+		msgsPerSec := 0.0
+		if agrWallS > 0 {
+			msgsPerSec = float64(sent) / agrWallS
+		}
+		row = append(row, fmt.Sprintf("%.0f", msgsPerSec))
+	}
+	t.AddRow(append(row, late, chaosDrops, violations)...)
 	r.Violations += violations
-	cellWall[wallKey] = cellMS / float64(seeds)
+	return cellMS / float64(seeds)
 }
 
 // L1Live is the live loopback experiment. Cells run strictly
@@ -187,20 +196,27 @@ func L1Live(opt Options) *Result {
 		faulty map[protocol.NodeID]protocol.Node) []liveCell {
 		cells := make([]liveCell, seeds)
 		for s := range cells {
-			var tries int
-			cells[s], tries = runLiveCellRetry(n, transport, conds, faulty, opt.LegacyWire)
-			retries += tries
+			// Incomplete cells (host starvation) are rerun up to two more
+			// times; a cell still incomplete after three attempts, or one
+			// that completes with battery violations, is reported as-is.
+			for attempt := 0; ; attempt++ {
+				cells[s] = runLiveCell(n, transport, conds, faulty, int64(n)*1000+int64(s), false)
+				if !cells[s].incomplete || attempt >= 2 {
+					break
+				}
+				retries++
+			}
 		}
 		return cells
 	}
 
 	for _, n := range LiveNs() {
 		cells := runSeries(n, nettrans.TransportUDP, nil, nil)
-		liveRow(t, "udp", n, seeds, cells, r, cellWall, fmt.Sprintf("udp/%d", n))
+		cellWall[fmt.Sprintf("udp/%d", n)] = liveRow(t, "udp", n, seeds, cells, r, false)
 	}
 	// Lossless stream baseline at the smallest size.
-	liveRow(t, "tcp", 4, seeds, runSeries(4, nettrans.TransportTCP, nil, nil),
-		r, cellWall, "tcp/4")
+	cellWall["tcp/4"] = liveRow(t, "tcp", 4, seeds,
+		runSeries(4, nettrans.TransportTCP, nil, nil), r, false)
 	r.Tables = append(r.Tables, t)
 
 	// Chaos replay: a PR4-style ConditionSchedule against real sockets —
@@ -218,8 +234,8 @@ func L1Live(opt Options) *Result {
 		{Kind: simnet.CondPartition, From: 0, Until: horizon, Nodes: []protocol.NodeID{6}},
 	}
 	faulty := map[protocol.NodeID]protocol.Node{6: nil}
-	liveRow(chaosTable, "udp+chaos", 7, seeds,
-		runSeries(7, nettrans.TransportUDP, conds, faulty), r, cellWall, "chaos/7")
+	cellWall["chaos/7"] = liveRow(chaosTable, "udp+chaos", 7, seeds,
+		runSeries(7, nettrans.TransportUDP, conds, faulty), r, false)
 	r.Tables = append(r.Tables, chaosTable)
 
 	// Wire-rate pump: the transport stack alone (encode → coalesce →
@@ -228,7 +244,7 @@ func L1Live(opt Options) *Result {
 	// lands in Floors, where the bench guard holds the committed artifact
 	// to the 10⁶ msgs/sec floor.
 	r.Floors = map[string]float64{}
-	l1PumpRow(r, cellWall, opt.LegacyWire)
+	l1PumpRow(r, cellWall)
 
 	r.CellWallMS = cellWall
 	r.Notes = append(r.Notes,
@@ -257,7 +273,7 @@ const l1PumpBroadcasts = 20000
 // aggregate rate is the transport's, not the protocol's. The rate lands
 // in r.Floors["udp_pump_msgs_per_sec_n16"]; the committed BENCH artifact
 // must prove ≥ 10⁶ there (bench_guard_test.go).
-func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
+func l1PumpRow(r *Result, cellWall map[string]float64) {
 	const n = 16
 	cellStart := time.Now()
 	pp := protocol.DefaultParams(n)
@@ -265,17 +281,12 @@ func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
 	// so receive-side lag must read as loss (kernel drops), never as
 	// late-frame rejections that would understate the stack's rate.
 	pp.D = 10000
-	mode := "coalesced"
-	if legacy {
-		mode = "legacy"
-	}
 	t := metrics.NewTable(
 		fmt.Sprintf("transport wire-rate pump (NullNode machines, %d broadcasts from one node, wall-clock)", l1PumpBroadcasts),
-		"mode", "n", "sent", "delivered", "delivered/sent", "msgs/sec", "batches", "frames/batch")
+		"n", "sent", "delivered", "delivered/sent", "msgs/sec", "batches", "frames/batch")
 	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
 		Params: pp, Tick: liveTick, Transport: nettrans.TransportUDP,
-		NewNode:                func() protocol.Node { return nettrans.NullNode{} },
-		LegacyDatagramPerFrame: legacy,
+		NewNode: func() protocol.Node { return nettrans.NullNode{} },
 	})
 	if err != nil {
 		r.Violations++
@@ -297,7 +308,7 @@ func l1PumpRow(r *Result, cellWall map[string]float64, legacy bool) {
 		perBatch = float64(bs.BatchedFrames) / float64(bs.BatchesSent)
 	}
 	rate := res.MsgsPerSec()
-	t.AddRow(mode, n, res.Sent, res.Received,
+	t.AddRow(n, res.Sent, res.Received,
 		fmt.Sprintf("%.3f", ratio),
 		fmt.Sprintf("%.0f", rate),
 		bs.BatchesSent,

@@ -7,6 +7,7 @@ import (
 	"ssbyz/internal/check"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/protocol"
+	"ssbyz/internal/sim"
 )
 
 // ScalingNs is the committee-size sweep of experiment S1. Unlike the
@@ -62,7 +63,7 @@ func runScaleCell(opt Options, n, seed int) scaleCell {
 	var c scaleCell
 	pp := protocol.DefaultParams(n)
 	sc, t0 := correctGeneralScenario(n, int64(seed), pp.D/2, pp.D)
-	res, err := opt.run(sc)
+	res, err := sim.Run(sc)
 	if err != nil {
 		c.violations++
 		return c
@@ -78,7 +79,7 @@ func runScaleCell(opt Options, n, seed int) scaleCell {
 		check.Validity(res, 0, t0, "v"),
 		check.Agreement(res, 0),
 	)
-	c.baseLats, c.baseMsgs = runBaseline(opt, pp, int64(seed), pp.D)
+	c.baseLats, c.baseMsgs = runBaseline(pp, int64(seed), pp.D)
 	c.wallMS = float64(time.Since(start).Microseconds()) / 1000
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"ssbyz/internal/clock"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
@@ -65,8 +66,7 @@ func runServiceCell(opt Options, sessions, entries, seed int) svcCell {
 	arrivals := service.PoissonArrivals(int64(1000*sessions+seed),
 		simtime.Real(2*pp.D), svcMeanGap(pp), entries)
 	res, err := service.RunSim(service.SimConfig{
-		Scenario: sim.Scenario{Params: pp, Seed: int64(7000*sessions + seed),
-			LegacyFanout: opt.LegacyFanout},
+		Scenario: sim.Scenario{Params: pp, Seed: int64(7000*sessions + seed)},
 		Sessions: sessions,
 		Loads:    []service.Workload{{G: 0, Arrivals: arrivals}},
 	})
@@ -178,31 +178,44 @@ func S3Service(opt Options) *Result {
 // -live appends it after L1. The deterministic acceptance is the
 // verdict: every entry commits and the per-session battery is clean.
 
-// l2Cell is one live service run.
-type l2Cell struct {
+// svcLiveCell is one replicated-log run over the nettrans pipeline.
+type svcLiveCell struct {
 	committed  int
-	agrSec     float64 // committed per wall-second of drain
-	p50MS      float64
+	lats       []float64 // commit − arrival per committed entry, ticks
+	agrSec     float64   // committed per wall-second of drain (live only)
 	violations int
 	errs       []string
 	wallMS     float64
 	timedOut   bool
 }
 
-func runL2Cell(sessions, entries, seed int) l2Cell {
+// runSvcLiveCell pushes one Poisson workload of `entries` arrivals
+// through General 0 of an n=4 cluster with the given session count and a
+// queue deep enough to drain everything (S3 owns shedding). virtual
+// selects the fake-clock deterministic wire (V2) versus real loopback
+// UDP (L2); the verdict is the same on both: every entry commits and the
+// per-session battery is clean.
+func runSvcLiveCell(sessions, entries, seed int, virtual bool) svcLiveCell {
 	start := time.Now()
-	var c l2Cell
+	var c svcLiveCell
 	pp := protocol.DefaultParams(4)
 	pp.D = liveD
 	arrivals := service.PoissonArrivals(int64(100*sessions+seed),
 		simtime.Real(2*pp.D), pp.D/2, entries)
-	res, err := service.RunLive(service.LiveConfig{
+	cfg := service.LiveConfig{
 		Params:     pp,
 		Tick:       liveTick,
 		Transport:  nettrans.TransportUDP,
 		Sessions:   sessions,
-		QueueLimit: entries, // spot-check drains everything; S3 owns shedding
-	}, []service.Workload{{G: 0, Arrivals: arrivals}}, 60*time.Second)
+		QueueLimit: entries,
+		Seed:       int64(sessions)*100 + int64(seed),
+	}
+	timeout := 60 * time.Second
+	if virtual {
+		cfg.Clock = clock.NewFake(time.Time{})
+		timeout = time.Duration(pp.DeltaStb()) * liveTick
+	}
+	res, err := service.RunLive(cfg, []service.Workload{{G: 0, Arrivals: arrivals}}, timeout)
 	drainS := time.Since(start).Seconds()
 	if err != nil {
 		c.timedOut = true
@@ -216,18 +229,15 @@ func runL2Cell(sessions, entries, seed int) l2Cell {
 	if st.Committed != entries || st.Failed > 0 || st.Dropped > 0 {
 		c.violations++
 		c.errs = append(c.errs, fmt.Sprintf(
-			"live log incomplete: committed=%d failed=%d dropped=%d of %d",
+			"log incomplete: committed=%d failed=%d dropped=%d of %d",
 			st.Committed, st.Failed, st.Dropped, entries))
 	}
 	if drainS > 0 {
 		c.agrSec = float64(st.Committed) / drainS
 	}
-	tickMS := float64(liveTick.Microseconds()) / 1000
-	var lats []float64
 	for _, l := range st.Latencies {
-		lats = append(lats, float64(l))
+		c.lats = append(c.lats, float64(l))
 	}
-	c.p50MS = metrics.Summarize(lats).P50 * tickMS
 	vs := service.Battery(res.Res, res.Logs)
 	c.violations += len(vs)
 	for _, v := range vs {
@@ -252,15 +262,16 @@ func L2LiveService(opt Options) *Result {
 			liveD, liveTick, entries),
 		"transport", "sessions", "seeds", "committed", "agr/sec", "p50 lat ms", "violations")
 	cellWall := make(map[string]float64)
+	tickMS := float64(liveTick.Microseconds()) / 1000
 	retries := 0
 	for _, sessions := range []int{1, 8} {
 		var committed float64
 		var agrSec, p50, wall float64
 		violations := 0
 		for seed := 0; seed < seeds; seed++ {
-			var c l2Cell
+			var c svcLiveCell
 			for attempt := 0; ; attempt++ {
-				c = runL2Cell(sessions, entries, seed)
+				c = runSvcLiveCell(sessions, entries, seed, false)
 				if !c.timedOut || attempt >= 2 {
 					break
 				}
@@ -268,7 +279,7 @@ func L2LiveService(opt Options) *Result {
 			}
 			committed += float64(c.committed)
 			agrSec += c.agrSec
-			p50 += c.p50MS
+			p50 += metrics.Summarize(c.lats).P50 * tickMS
 			wall += c.wallMS
 			violations += c.violations
 			for _, e := range c.errs {

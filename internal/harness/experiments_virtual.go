@@ -2,14 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
-	"ssbyz/internal/check"
-	"ssbyz/internal/clock"
 	"ssbyz/internal/metrics"
 	"ssbyz/internal/nettrans"
 	"ssbyz/internal/protocol"
-	"ssbyz/internal/service"
 	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
 )
@@ -26,91 +22,6 @@ import (
 // reported in ticks and multiples of d. That is why V1/V2 live in All()
 // and the default `go test ./...` while L1/L2 need `-live`: a deterministic
 // live campaign can gate CI byte-for-byte.
-
-// virtCell is one virtual live cluster run (the deterministic counterpart
-// of liveCell: same pipeline, no wall-clock fields).
-type virtCell struct {
-	lats       []float64 // per-node decide latency, ticks
-	stats      nettrans.Stats
-	violations int
-	errs       []string
-}
-
-// runVirtualCell runs one agreement on a fresh virtual cluster. All
-// randomness is the wire seed; equal arguments give equal cells, which is
-// what lets the sweep fan out across workers without losing determinism.
-func runVirtualCell(n int, transport string, conds []simnet.Condition,
-	faulty map[protocol.NodeID]protocol.Node, seed int64, legacy bool) virtCell {
-	var c virtCell
-	fail := func(format string, args ...any) virtCell {
-		c.violations++
-		c.errs = append(c.errs, fmt.Sprintf(format, args...))
-		return c
-	}
-	pp := protocol.DefaultParams(n)
-	pp.D = liveD
-	cl, err := nettrans.NewCluster(nettrans.ClusterConfig{
-		Params: pp, Tick: liveTick, Transport: transport,
-		Conditions: conds, Faulty: faulty,
-		Clock: clock.NewFake(time.Time{}), Seed: seed,
-		LegacyDatagramPerFrame: legacy,
-	})
-	if err != nil {
-		return fail("cluster: %v", err)
-	}
-	defer cl.Stop()
-
-	const value = protocol.Value("v1")
-	t0, err := cl.Initiate(0, value, time.Second)
-	if err != nil {
-		return fail("initiate: %v", err)
-	}
-	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * liveTick
-	deciders := cl.AwaitDecisions(0, value, budget)
-	c.stats = cl.Stats()
-
-	res := cl.Result(simtime.Duration(cl.NowTicks()) + 1)
-	lr := &check.LiveResult{Result: res}
-	c.lats = lr.DecideLatencies(0, value, t0)
-	if deciders != len(res.Correct) || len(c.lats) != len(res.Correct) {
-		// Unlike L1 there is no retry path: virtual time cannot be starved
-		// by the host, so non-decision here is always protocol signal.
-		return fail("only %d/%d correct nodes decided under virtual time", deciders, len(res.Correct))
-	}
-	vs := lr.Battery([]check.LiveInitiation{{G: 0, V: value, T0: t0}})
-	c.violations += len(vs)
-	for _, v := range vs {
-		c.errs = append(c.errs, v.String())
-	}
-	return c
-}
-
-// virtRow aggregates a (config, seeds) series into one deterministic row.
-func virtRow(t *metrics.Table, label string, n, seeds int, cells []virtCell, r *Result) {
-	pp := protocol.DefaultParams(n)
-	var lats []float64
-	var sent, late, chaosDrops int64
-	violations := 0
-	for _, c := range cells {
-		lats = append(lats, c.lats...)
-		sent += c.stats.Sent
-		late += c.stats.LateDrops
-		chaosDrops += c.stats.ChaosDrops
-		violations += c.violations
-		for _, e := range c.errs {
-			r.Notes = append(r.Notes, fmt.Sprintf("%s n=%d: %s", label, n, e))
-		}
-	}
-	s := metrics.Summarize(lats)
-	t.AddRow(label, n, pp.F, seeds,
-		fmt.Sprintf("%.0f", s.P50),
-		fmt.Sprintf("%.0f", s.P95),
-		fmt.Sprintf("%.0f", s.Max),
-		fmt.Sprintf("%.3f", s.P50/float64(liveD)),
-		float64(sent)/float64(seeds),
-		late, chaosDrops, violations)
-	r.Violations += violations
-}
 
 // virtConfig is one V1 sweep cell configuration.
 type virtConfig struct {
@@ -145,16 +56,16 @@ func V1VirtualLive(opt Options) *Result {
 			},
 			map[protocol.NodeID]protocol.Node{6: nil}},
 	}
-	grid := sweep(opt, configs, seeds, func(cfg virtConfig, seed int) virtCell {
-		return runVirtualCell(cfg.n, cfg.transport, cfg.conds, cfg.faulty,
-			int64(cfg.n)*1000+int64(seed), opt.LegacyWire)
+	grid := sweep(opt, configs, seeds, func(cfg virtConfig, seed int) liveCell {
+		return runLiveCell(cfg.n, cfg.transport, cfg.conds, cfg.faulty,
+			int64(cfg.n)*1000+int64(seed), true)
 	})
 	t := metrics.NewTable(
 		fmt.Sprintf("virtual-time live agreement (d = %d ticks; all columns deterministic)", liveD),
 		"transport", "n", "f", "seeds", "p50 ticks", "p95 ticks", "max ticks", "p50 (d)",
 		"msgs/agr", "late drops", "chaos drops", "violations")
 	for ci, cfg := range configs {
-		virtRow(t, cfg.label, cfg.n, seeds, grid[ci], r)
+		liveRow(t, cfg.label, cfg.n, seeds, grid[ci], r, true)
 	}
 	r.Tables = append(r.Tables, t)
 	r.Notes = append(r.Notes,
@@ -174,51 +85,12 @@ func V2VirtualService(opt Options) *Result {
 	if !opt.Quick {
 		seeds, entries = 3, 12
 	}
-	pp := protocol.DefaultParams(4)
-	pp.D = liveD
 	t := metrics.NewTable(
 		fmt.Sprintf("replicated-log service over the virtual wire (n=4, d = %d ticks, %d entries)", liveD, entries),
 		"transport", "sessions", "seeds", "committed", "p50 commit ticks", "violations")
-	type v2Out struct {
-		committed  int
-		lats       []float64
-		violations int
-		errs       []string
-	}
 	sessionsSweep := []int{1, 8}
-	grid := sweep(opt, sessionsSweep, seeds, func(sessions, seed int) v2Out {
-		var out v2Out
-		arrivals := service.PoissonArrivals(int64(100*sessions+seed),
-			simtime.Real(2*pp.D), pp.D/2, entries)
-		res, err := service.RunLive(service.LiveConfig{
-			Params:     pp,
-			Tick:       liveTick,
-			Sessions:   sessions,
-			QueueLimit: entries, // the spot-check drains everything; S3 owns shedding
-			Clock:      clock.NewFake(time.Time{}),
-			Seed:       int64(sessions)*100 + int64(seed),
-		}, []service.Workload{{G: 0, Arrivals: arrivals}},
-			time.Duration(pp.DeltaStb())*liveTick)
-		if err != nil {
-			out.violations++
-			out.errs = append(out.errs, err.Error())
-			return out
-		}
-		lg := res.Logs[0]
-		out.committed = len(lg.Committed)
-		for _, e := range lg.Committed {
-			out.lats = append(out.lats, float64(e.CommittedAt-e.ArrivedAt))
-		}
-		if lg.Failed != 0 || lg.Dropped != 0 {
-			out.violations++
-			out.errs = append(out.errs, fmt.Sprintf("failed=%d dropped=%d", lg.Failed, lg.Dropped))
-		}
-		vs := service.Battery(res.Res, res.Logs)
-		out.violations += len(vs)
-		for _, v := range vs {
-			out.errs = append(out.errs, v.String())
-		}
-		return out
+	grid := sweep(opt, sessionsSweep, seeds, func(sessions, seed int) svcLiveCell {
+		return runSvcLiveCell(sessions, entries, seed, true)
 	})
 	for ci, sessions := range sessionsSweep {
 		var committed float64

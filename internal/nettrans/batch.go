@@ -10,7 +10,7 @@ import (
 //
 // A protocol event handler typically emits a burst of sends — a
 // broadcast is n point-to-point frames, a round change can fan out
-// several broadcasts back-to-back. The legacy wire paid one datagram
+// several broadcasts back-to-back. An uncoalesced wire pays one datagram
 // (and one syscall, and one receive-loop wakeup, and one mailbox
 // enqueue at the receiver) per frame. The coalescer instead parks each
 // immediate-path frame in a per-peer pending buffer and flushes all
@@ -133,7 +133,7 @@ func (co *coalescer) emit(to protocol.NodeID, p *pendingPeer) {
 
 // pack turns a peer's pending frames into the bytes to put on the wire
 // and resets the pending state. A lone frame ships raw — no container,
-// byte-identical to the legacy wire — so batching only ever appears on
+// byte-identical to an uncoalesced frame — so batching only ever appears on
 // the wire when it actually coalesces.
 func (co *coalescer) pack(to protocol.NodeID, p *pendingPeer) []byte {
 	nn := co.nn

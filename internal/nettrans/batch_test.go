@@ -1,11 +1,15 @@
 package nettrans
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"ssbyz/internal/clock"
 	"ssbyz/internal/core"
+	"ssbyz/internal/golden"
 	"ssbyz/internal/protocol"
 	"ssbyz/internal/simnet"
 	"ssbyz/internal/simtime"
@@ -14,10 +18,11 @@ import (
 
 // This file is the coalesced-wire battery: the FrameBatch container and
 // the send-side coalescer must change only HOW frames cross the wire,
-// never what any node observes. The differential tests pin the batched
-// pipeline to the legacy datagram-per-frame one byte for byte on the
-// deterministic virtual wire; the white-box tests pin the container's
-// receive-side semantics (a corrupt inner frame costs exactly itself).
+// never what any node observes. The wire golden pins the coalesced
+// pipeline, on the deterministic virtual wire, to digests that one
+// datagram per frame reproduced byte for byte; the white-box tests pin
+// the container's receive-side semantics (a corrupt inner frame costs
+// exactly itself).
 
 // batchFor wraps the given inner frames (already encoded) into one
 // FrameBatch container datagram from the given sender.
@@ -110,7 +115,7 @@ func TestBatchBrokenInnerFramingAdmitsHead(t *testing.T) {
 	}
 }
 
-// batchDiffConds is the attack schedule of the wire differential: byte
+// batchDiffConds is the attack schedule of the wire golden: byte
 // corruption on the faulty node's NIC plus duplication on every link —
 // the two classes that stress the coalescer hardest (corrupt inner
 // frames riding containers, chaos copies multiplying pending frames).
@@ -121,64 +126,62 @@ func batchDiffConds() []simnet.Condition {
 	}
 }
 
-// runWireModeCell runs one virtual agreement with the given wire mode
+// runWireModeCell runs one virtual agreement under the attack schedule
 // and returns everything observable: the cluster's stats, batch stats,
 // and the full canonical trace.
-func runWireModeCell(t *testing.T, legacy bool, seed int64) (Stats, BatchStats, []protocol.TraceEvent) {
+func runWireModeCell(t *testing.T, seed int64) (Stats, BatchStats, []protocol.TraceEvent) {
 	t.Helper()
 	pp := protocol.DefaultParams(4)
 	pp.D = 50
 	c, err := NewCluster(ClusterConfig{
 		Params: pp, Tick: time.Millisecond,
 		Clock: clock.NewFake(time.Time{}), Seed: seed,
-		Conditions:             batchDiffConds(),
-		Faulty:                 map[protocol.NodeID]protocol.Node{1: core.NewNode()},
-		LegacyDatagramPerFrame: legacy,
+		Conditions: batchDiffConds(),
+		Faulty:     map[protocol.NodeID]protocol.Node{1: core.NewNode()},
 	})
 	if err != nil {
-		t.Fatalf("NewCluster(legacy=%v): %v", legacy, err)
+		t.Fatalf("NewCluster: %v", err)
 	}
 	t.Cleanup(c.Stop)
 	budget := time.Duration(pp.DeltaAgr()+20*pp.D) * c.Tick()
 	if _, err := c.Initiate(0, "wire-diff", time.Second); err != nil {
-		t.Fatalf("initiate(legacy=%v): %v", legacy, err)
+		t.Fatalf("initiate: %v", err)
 	}
 	if done := c.AwaitDecisions(0, "wire-diff", budget); done != len(c.Correct()) {
-		t.Fatalf("legacy=%v: decided %d/%d (stats %+v)", legacy, done, len(c.Correct()), c.Stats())
+		t.Fatalf("decided %d/%d (stats %+v)", done, len(c.Correct()), c.Stats())
 	}
 	flushInFlight(c)
 	res := c.Result(simtime.Duration(c.NowTicks()) + 1)
 	return c.Stats(), c.BatchStats(), res.Rec.Events()
 }
 
-// TestBatchedVsLegacyWireVirtualIdentical is the wire differential at
-// its strongest: the same seeded virtual cluster under an active attack
-// schedule, run once coalesced and once datagram-per-frame, must produce
-// the identical full trace — every event, instant for instant — and the
-// identical 15-counter Stats vector, while BatchStats proves the two
-// runs really took different wire paths.
-func TestBatchedVsLegacyWireVirtualIdentical(t *testing.T) {
-	for seed := int64(40); seed < 43; seed++ {
-		sB, bB, evB := runWireModeCell(t, false, seed)
-		sL, bL, evL := runWireModeCell(t, true, seed)
-		if bB.BatchesSent == 0 || bB.BatchedFrames == 0 {
-			t.Fatalf("seed %d: batched run coalesced nothing: %+v", seed, bB)
-		}
-		if bL.BatchesSent != 0 || bL.BatchedFrames != 0 {
-			t.Fatalf("seed %d: legacy run sent containers: %+v", seed, bL)
-		}
-		if sB != sL {
-			t.Fatalf("seed %d: stats differ:\nbatched: %+v\nlegacy:  %+v", seed, sB, sL)
-		}
-		if len(evB) != len(evL) {
-			t.Fatalf("seed %d: %d trace events (batched) != %d (legacy)", seed, len(evB), len(evL))
-		}
-		for i := range evB {
-			if evB[i] != evL[i] {
-				t.Fatalf("seed %d: trace event %d differs:\nbatched: %+v\nlegacy:  %+v", seed, i, evB[i], evL[i])
-			}
-		}
+// wireCellDigest renders one cell as golden lines: a digest of the full
+// trace, the 15-counter Stats vector, and the coalescer's BatchStats.
+func wireCellDigest(seed int64, st Stats, bs BatchStats, evs []protocol.TraceEvent) string {
+	h := sha256.New()
+	for _, ev := range evs {
+		fmt.Fprintf(h, "%+v\n", ev)
 	}
+	return fmt.Sprintf("seed %d trace events=%d sha256=%x\nseed %d stats %+v\nseed %d batch %+v\n",
+		seed, len(evs), h.Sum(nil), seed, st, seed, bs)
+}
+
+// TestWireAttackCellsGolden is the wire golden at its strongest: the
+// same seeded virtual cluster under an active attack schedule must
+// reproduce the committed trace digest and Stats vector instant for
+// instant. Those lines were recorded with coalescing on and matched the
+// one-datagram-per-frame wire byte for byte; the batch lines, and the
+// containers > 0 check, prove the run really coalesced.
+func TestWireAttackCellsGolden(t *testing.T) {
+	var got strings.Builder
+	for seed := int64(40); seed < 43; seed++ {
+		st, bs, evs := runWireModeCell(t, seed)
+		if bs.BatchesSent == 0 || bs.BatchedFrames == 0 {
+			t.Fatalf("seed %d: coalesced nothing: %+v", seed, bs)
+		}
+		got.WriteString(wireCellDigest(seed, st, bs, evs))
+	}
+	golden.Check(t, "testdata/wire_attack_cells.golden", []byte(got.String()))
 }
 
 // TestCapturedBatchContainersExpand pins the record half of
@@ -244,27 +247,5 @@ func TestCapturedBatchContainersExpand(t *testing.T) {
 	}
 	if innerTotal != bs.BatchedFrames {
 		t.Fatalf("captured containers hold %d inner frames, coalescers report %d", innerTotal, bs.BatchedFrames)
-	}
-}
-
-// TestLegacyWireFlagWallClockCluster pins the off-switch on the wall-clock
-// path: a real loopback UDP cluster with coalescing disabled completes
-// its agreement with zero containers on the wire.
-func TestLegacyWireFlagWallClockCluster(t *testing.T) {
-	pp := liveParams(4)
-	c, err := NewCluster(ClusterConfig{
-		Params: pp, Transport: TransportUDP, LegacyDatagramPerFrame: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	t0 := initiateTick(t, c, 0, "legacy-live")
-	if done := c.AwaitDecisions(0, "legacy-live", 10*time.Second); done != pp.N {
-		t.Fatalf("decided %d/%d (stats %+v)", done, pp.N, c.Stats())
-	}
-	_ = t0
-	if bs := c.BatchStats(); bs.BatchesSent != 0 || bs.BatchedFrames != 0 {
-		t.Fatalf("legacy cluster sent containers: %+v", bs)
 	}
 }

@@ -99,13 +99,6 @@ type NodeConfig struct {
 	// drops, and every chaos/protocol timer (default clock.Real()). The
 	// virtual cluster injects a shared *clock.Fake here.
 	Clock clock.Clock
-	// LegacyDatagramPerFrame disables the send-side frame coalescer: every
-	// protocol message rides its own datagram, exactly the pre-batching
-	// wire behaviour. The receive pipeline always understands batch
-	// containers, so mixed clusters interoperate; the flag exists to prove
-	// (differentially) that coalescing changes only how bytes are packed,
-	// never what any node observes.
-	LegacyDatagramPerFrame bool
 }
 
 // Stats counts the transport's traffic and drop classes. All counters are
@@ -198,15 +191,15 @@ func (s *Stats) Add(other Stats) {
 
 // BatchStats counts the frame coalescer's packing work. Deliberately kept
 // OUTSIDE Stats: the 15-counter vector is the FrameStats schema shared
-// with older daemons and the byte-identity surface of the batched-vs-
-// legacy differential — coalescing must change how bytes are packed, not
-// what any counter observes.
+// with older daemons and part of the wire goldens (batch_test.go) —
+// coalescing must change how bytes are packed, not what any counter
+// observes.
 type BatchStats struct {
 	// BatchesSent counts multi-frame container datagrams written.
 	BatchesSent int64
 	// BatchedFrames counts inner frames that rode inside those containers.
-	// Single-frame flushes go out raw (byte-identical to the legacy wire)
-	// and are counted by neither field.
+	// Single-frame flushes go out raw (byte-identical to an uncoalesced
+	// frame) and are counted by neither field.
 	BatchedFrames int64
 }
 
@@ -391,9 +384,7 @@ func startNode(cfg NodeConfig, node protocol.Node, mkTrans func(*NetNode) (trans
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.LegacyDatagramPerFrame {
-		nn.co = newCoalescer(nn)
-	}
+	nn.co = newCoalescer(nn)
 	nn.wg.Add(1)
 	go func() {
 		defer nn.wg.Done()
@@ -573,10 +564,9 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 		return
 	}
 	// A chaos-delayed frame outlives this call; it needs its own copy. It
-	// bypasses the coalescer in both modes: its delivery tick is set by
-	// its own timer, not by the burst it was born in, so batching it with
-	// unrelated later traffic would change the schedule the legacy wire
-	// produces.
+	// bypasses the coalescer: its delivery tick is set by its own timer,
+	// not by the burst it was born in, so batching it with unrelated later
+	// traffic would change the schedule one datagram per frame produces.
 	frame := append([]byte(nil), nn.frameScratch...)
 	nn.timers.AfterFunc(time.Duration(plan.delay)*nn.cfg.Tick, func() {
 		for i := 0; i < copies; i++ {
@@ -586,17 +576,13 @@ func (nn *NetNode) sendPlanned(to protocol.NodeID, m protocol.Message, now simti
 }
 
 // deliverNow hands one encoded frame to the wire on the immediate path:
-// through the coalescer when batching is on (the frame joins this event-
-// handler burst's per-peer batch), straight to the socket in legacy mode.
-// Forged and replayed frames take this path too — attack traffic must
-// keep its position in the per-link frame order, or the batched and
-// legacy wires would present receivers with different sequences.
+// through the coalescer, where the frame joins this event-handler burst's
+// per-peer batch. Forged and replayed frames take this path too — attack
+// traffic must keep its position in the per-link frame order, or
+// coalescing would present receivers with a different sequence than one
+// datagram per frame does.
 func (nn *NetNode) deliverNow(to protocol.NodeID, frame []byte) {
-	if nn.co != nil {
-		nn.co.add(to, frame)
-		return
-	}
-	nn.trans.send(to, frame)
+	nn.co.add(to, frame)
 }
 
 // Broadcast implements protocol.Runtime: n point-to-point sends, the
@@ -820,7 +806,7 @@ func (nn *NetNode) handleBatch(f wire.Frame, auth func(protocol.NodeID) bool) {
 	// One clock read admits the whole container: every inner frame shares
 	// the batch's arrival instant (virtual deliveries of one cascade all
 	// happen at the same fake-clock tick, so this is also what keeps the
-	// batched and legacy wires' deadline decisions identical).
+	// deadline decisions identical to one datagram per frame).
 	now := nn.nowTicks()
 	for {
 		raw, ok := r.Next()

@@ -27,8 +27,8 @@ import (
 //
 // The wire's delivery schedule is built to be identical whether the
 // sender coalesces frames into batch containers or ships one datagram
-// per frame — that invariant is what the batched-vs-legacy differential
-// tests pin, and three design points carry it:
+// per frame — the wire goldens (batch_test.go) were recorded with both
+// and pin that invariant, and three design points carry it:
 //
 //   - Per-link delay draws. Every frame's delay is a pure function of
 //     (seed, from, to, per-link sequence number), drawn when the frame
@@ -131,7 +131,7 @@ func (t *memTransport) send(to protocol.NodeID, frame []byte) {
 	})
 	if f, n, err := wire.DecodeFrame(cp); err == nil && n == len(cp) && f.Kind == wire.FrameBatch {
 		// Unpack at send time: every inner frame draws its own per-link
-		// delay and travels alone, exactly as on the legacy wire. Inner
+		// delay and travels alone, exactly as if sent uncoalesced. Inner
 		// frame *content* is not inspected here — a chaos-corrupted inner
 		// frame must still draw its delay and fail at the receiver, as it
 		// would have unbatched.

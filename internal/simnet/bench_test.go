@@ -9,13 +9,15 @@ import (
 
 // benchFanout drives one node's Broadcast through the transport with no
 // attached nodes (deliveries dispatch to nil and return), isolating the
-// fan-out + scheduler cost of the two delivery paths.
-func benchFanout(b *testing.B, legacy bool, dmin, dmax simtime.Duration) {
+// fan-out + scheduler cost of the two delivery paths. batched=false
+// forces the per-recipient path whatever the delay span.
+func benchFanout(b *testing.B, batched bool, dmin, dmax simtime.Duration) {
 	pp := protocol.DefaultParams(64)
-	w, err := New(Config{Params: pp, Seed: 1, DelayMin: dmin, DelayMax: dmax, LegacyFanout: legacy})
+	w, err := New(Config{Params: pp, Seed: 1, DelayMin: dmin, DelayMax: dmax})
 	if err != nil {
 		b.Fatal(err)
 	}
+	w.useBatch = w.useBatch && batched
 	rt := w.rts[0]
 	m := protocol.Message{Kind: protocol.Echo, G: 0, M: "v", P: 1, K: 1}
 	b.ReportAllocs()
@@ -27,7 +29,7 @@ func benchFanout(b *testing.B, legacy bool, dmin, dmax simtime.Duration) {
 }
 
 // BenchmarkBroadcastFanout compares the batched per-tick delivery path
-// against the legacy per-recipient one at n = 64. "narrow" is a
+// against the per-recipient one at n = 64. "narrow" is a
 // deterministic-delay network (every recipient shares one arrival tick:
 // the batch win is n×); "wide" is the standard δ ∈ [d/2, d] spread, where
 // recipients scatter across ~d/2 ticks and the adaptive cutover
@@ -35,8 +37,8 @@ func benchFanout(b *testing.B, legacy bool, dmin, dmax simtime.Duration) {
 // the two "wide" numbers must therefore be statistically identical.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	pp := protocol.DefaultParams(64)
-	b.Run("batched/narrow", func(b *testing.B) { benchFanout(b, false, 5, 5) })
-	b.Run("legacy/narrow", func(b *testing.B) { benchFanout(b, true, 5, 5) })
-	b.Run("batched/wide", func(b *testing.B) { benchFanout(b, false, pp.D/2, pp.D) })
-	b.Run("legacy/wide", func(b *testing.B) { benchFanout(b, true, pp.D/2, pp.D) })
+	b.Run("batched/narrow", func(b *testing.B) { benchFanout(b, true, 5, 5) })
+	b.Run("per-recipient/narrow", func(b *testing.B) { benchFanout(b, false, 5, 5) })
+	b.Run("batched/wide", func(b *testing.B) { benchFanout(b, true, pp.D/2, pp.D) })
+	b.Run("per-recipient/wide", func(b *testing.B) { benchFanout(b, false, pp.D/2, pp.D) })
 }
